@@ -10,6 +10,7 @@ exact rational arithmetic.
 
 from .boundary import (
     BoundaryCert,
+    BoundaryChain,
     LinearFunctional,
     NinePointConfig,
     PositivityVerdict,
@@ -17,6 +18,7 @@ from .boundary import (
     WeightTuple,
     ZeroSetVerdict,
     assemble_sextic,
+    boundary_chain,
     boundary_cert,
     cb_relation,
     check_tuple,

@@ -19,13 +19,14 @@ from .errors import (
     DuplicatePoint,
     LinearlyDependent,
     MissingGramWitness,
+    NoSolution,
     NotASumOverU,
     NotCayleyBacharach,
     NotPsd,
     NotQuadraticallyIndependent,
     ParseError,
 )
-from .gram import GramPoint, SosRep, extract_qsos, gram_from_squares, is_gram_point
+from .gram import GramPoint, QSosWitness, SosRep, extract_qsos, gram_from_squares, is_gram_point
 from .linalg import SymMatrix, nullspace, psd_check, rref
 from .poly import Poly, monomials, parse_rational, primitive_vector
 
@@ -293,49 +294,72 @@ class ZeroSetVerdict(enum.Enum):
     NON_EMPTY = "NonEmpty"
 
 
-def empty_zero_check(u_basis: Sequence[Poly]) -> ZeroSetVerdict:
-    """Decide whether the projective zero set of the cubics is empty.
-
-    For an Artinian complete intersection of three cubics the Hilbert
-    series ends at degree 6, so V(U) is empty iff I_7 fills all of A_7; a
-    nonempty projective zero set keeps every graded piece of A/I nonzero.
-    """
-    h = hilbert_function(u_basis)
-    return ZeroSetVerdict.EMPTY if h[7] == 0 else ZeroSetVerdict.NON_EMPTY
-
-
 class PositivityVerdict(enum.Enum):
     STRICTLY_POSITIVE = "StrictlyPositive"
     INCONCLUSIVE = "Inconclusive"
 
 
+def _zero_set(hilbert: Sequence[int]) -> ZeroSetVerdict:
+    """Read the projective zero set of three cubics off their Hilbert function.
+
+    For an Artinian complete intersection of three cubics the Hilbert
+    series ends at degree 6, so V(U) is empty iff I_7 fills all of A_7; a
+    nonempty projective zero set keeps every graded piece of A/I nonzero.
+    """
+    return ZeroSetVerdict.EMPTY if hilbert[7] == 0 else ZeroSetVerdict.NON_EMPTY
+
+
+# real zeros of sum q_i^2 are common zeros of the q_i: none makes the sum strictly positive
+_POSITIVITY = {
+    ZeroSetVerdict.EMPTY: PositivityVerdict.STRICTLY_POSITIVE,
+    ZeroSetVerdict.NON_EMPTY: PositivityVerdict.INCONCLUSIVE,
+}
+
+
+def empty_zero_check(u_basis: Sequence[Poly]) -> ZeroSetVerdict:
+    """Decide whether the projective zero set of the cubics is empty."""
+    return _zero_set(hilbert_function(u_basis))
+
+
 def strict_positivity_cert(f: Poly, qs: Sequence[Poly]) -> PositivityVerdict:
     """Certify strict positivity of f = sum q_i^2 via the empty zero set.
 
-    Real zeros of the sum of squares are common zeros of the q_i; when the
-    projective zero set is empty, f is strictly positive.  The identity is
-    verified exactly first.
+    The identity f = sum q_i^2 is verified exactly first, since f and the
+    q_i come from the caller.
     """
     total = Poly.zero(3)
     for q in qs:
         total = total + q * q
     if total != f:
         raise NotASumOverU("f is not the sum of squares of the given forms")
-    if empty_zero_check(list(qs)) is ZeroSetVerdict.EMPTY:
-        return PositivityVerdict.STRICTLY_POSITIVE
-    return PositivityVerdict.INCONCLUSIVE
+    return _POSITIVITY[empty_zero_check(list(qs))]
 
 
 @dataclass(frozen=True)
 class BoundaryCert:
-    """Certificate that alpha lies in the normal cone of the SOS cone at f."""
+    """Certificate that alpha lies in the normal cone of the SOS cone at f.
+
+    ``kernel`` holds the kernel cubics of the moment matrix (None when the
+    matrix is not PSD), so its rank is 10 - dim kernel.  ``extraction`` is
+    the rational SOS extraction of f on the kernel when the witness was
+    derived here rather than supplied.
+    """
 
     certified: bool
     reason: str
+    f: Poly
     alpha_f: Fraction
-    psd_rank: int | None = None
-    kernel_dim: int | None = None
+    kernel: tuple[Poly, ...] | None = None
     witness: GramPoint | None = None
+    extraction: QSosWitness | None = None
+
+    @property
+    def kernel_dim(self) -> int | None:
+        return None if self.kernel is None else len(self.kernel)
+
+    @property
+    def psd_rank(self) -> int | None:
+        return None if self.kernel is None else len(CUBICS) - len(self.kernel)
 
     def render(self) -> str:
         lines = [
@@ -358,59 +382,47 @@ def boundary_cert(
     Requires: the moment matrix of alpha PSD with rank >= 2 (so alpha is in
     the dual cone and is not a point evaluation), alpha(f) = 0 exactly, and
     an SOS witness for f -- supplied, or derived through the kernel of the
-    moment matrix and rational extraction.
+    moment matrix and rational extraction.  The PSD check is the one inside
+    :func:`kernel_cubics`; the kernel, and the extraction when no witness
+    is supplied, are kept on the certificate for :func:`uniqueness_cert`.
     """
     alpha_f = alpha(f)
-    b = moment_matrix(alpha)
-    verdict = psd_check(b)
-    if not verdict.is_psd:
-        return BoundaryCert(False, "moment matrix not PSD: alpha is outside the dual cone", alpha_f)
-    kernel_dim = b.size - verdict.rank
-    if verdict.rank < 2:
-        return BoundaryCert(
-            False,
-            "moment matrix has rank < 2: alpha is a point evaluation",
-            alpha_f,
-            psd_rank=verdict.rank,
-            kernel_dim=kernel_dim,
-        )
+    try:
+        kernel = tuple(kernel_cubics(moment_matrix(alpha)))
+    except NotPsd:
+        return BoundaryCert(False, "moment matrix not PSD: alpha is outside the dual cone", f, alpha_f)
+    return _certify_on_kernel(f, alpha_f, kernel, witness)
+
+
+def _certify_on_kernel(f: Poly, alpha_f: Fraction, kernel: tuple[Poly, ...], witness=None) -> BoundaryCert:
+    """The checks of :func:`boundary_cert` that follow the PSD check."""
+
+    def rejected(reason: str) -> BoundaryCert:
+        return BoundaryCert(False, reason, f, alpha_f, kernel)
+
+    if len(CUBICS) - len(kernel) < 2:
+        return rejected("moment matrix has rank < 2: alpha is a point evaluation")
     if alpha_f != 0:
-        return BoundaryCert(
-            False,
-            f"alpha(f) = {alpha_f} != 0: f is not on the face cut out by alpha",
-            alpha_f,
-            psd_rank=verdict.rank,
-            kernel_dim=kernel_dim,
-        )
+        return rejected(f"alpha(f) = {alpha_f} != 0: f is not on the face cut out by alpha")
+    extraction = None
     if witness is None:
-        kernel = kernel_cubics(b)
         try:
-            qw = extract_qsos(f, kernel)
-        except Exception as exc:
+            extraction = extract_qsos(f, list(kernel))
+        except (NotPsd, NoSolution) as exc:
+            # a PSD Gram matrix G of f has <G, B> = alpha(f) = 0 with B PSD,
+            # so its columns lie in the kernel: f has none and is not SOS
+            return rejected(f"f has no PSD Gram matrix on the kernel cubics, so it is not SOS: {exc}")
+        except (NotQuadraticallyIndependent, LinearlyDependent) as exc:
             raise MissingGramWitness(
                 f"no SOS witness supplied and the kernel extraction failed: {exc}"
             ) from exc
-        witness_point = gram_from_squares(SosRep(qw.expanded))
+        witness = gram_from_squares(SosRep(extraction.expanded))
     elif isinstance(witness, SosRep):
-        witness_point = gram_from_squares(witness)
-    else:
-        witness_point = witness
-    if not is_gram_point(witness_point, f):
-        return BoundaryCert(
-            False,
-            "supplied witness is not a Gram point of f",
-            alpha_f,
-            psd_rank=verdict.rank,
-            kernel_dim=kernel_dim,
-        )
-    return BoundaryCert(
-        True,
-        "alpha in dual cone, rank >= 2, alpha(f) = 0, SOS membership witnessed",
-        alpha_f,
-        psd_rank=verdict.rank,
-        kernel_dim=kernel_dim,
-        witness=witness_point,
-    )
+        witness = gram_from_squares(witness)
+    if not is_gram_point(witness, f):
+        return rejected("supplied witness is not a Gram point of f")
+    reason = "alpha in dual cone, rank >= 2, alpha(f) = 0, SOS membership witnessed"
+    return BoundaryCert(True, reason, f, alpha_f, kernel, witness, extraction)
 
 
 @dataclass(frozen=True)
@@ -422,8 +434,6 @@ class UniquenessCert:
     kernel_basis: tuple[Poly, ...] = ()
     quadratically_independent: bool | None = None
     restricted_gram: SymMatrix | None = None
-    psd: bool | None = None
-    contradiction: bool = False
     sos_weights: tuple[Fraction, ...] = ()
     sos_polys: tuple[Poly, ...] = ()
 
@@ -446,44 +456,76 @@ class UniquenessCert:
         return "\n".join(lines)
 
 
-def uniqueness_cert(f: Poly, alpha: LinearFunctional) -> UniquenessCert:
+def uniqueness_cert(boundary: BoundaryCert) -> UniquenessCert:
     """Certify that f has a single Gram point (unique SOS representation).
 
     Every Gram matrix of f pairs to zero against the moment matrix of
     alpha, forcing its column space into the kernel cubics; quadratic
     independence of the kernel basis then pins the restricted Gram matrix
-    to the unique solution of a linear system, checked PSD exactly.
+    to the unique solution of a linear system, checked PSD exactly.  Reads
+    f, the kernel and the extraction off the boundary certificate; it
+    extracts only when the boundary witness was supplied by the caller.
     """
-    bc = boundary_cert(f, alpha)
-    if not bc.certified:
-        return UniquenessCert(False, f"boundary certificate failed: {bc.reason}")
-    kernel = kernel_cubics(moment_matrix(alpha))
+    if not boundary.certified:
+        return UniquenessCert(False, f"boundary certificate failed: {boundary.reason}")
     try:
-        qw = extract_qsos(f, kernel)
-    except NotPsd as exc:
-        return UniquenessCert(
-            False,
-            f"unique restricted Gram matrix is indefinite: {exc} "
-            "(contradiction: f would not be SOS at all)",
-            kernel_basis=tuple(kernel),
-            quadratically_independent=True,
-            psd=False,
-            contradiction=True,
-        )
+        qw = boundary.extraction or extract_qsos(boundary.f, list(boundary.kernel))
     except NotQuadraticallyIndependent:
-        return UniquenessCert(
-            False,
-            "kernel basis not quadratically independent; singleton route inconclusive",
-            kernel_basis=tuple(kernel),
-            quadratically_independent=False,
-        )
+        reason = "kernel basis not quadratically independent; singleton route inconclusive"
+        return UniquenessCert(False, reason, boundary.kernel, quadratically_independent=False)
     return UniquenessCert(
-        True,
-        "singleton Gram spectrahedron",
-        kernel_basis=tuple(kernel),
-        quadratically_independent=True,
-        restricted_gram=qw.gram,
-        psd=True,
-        sos_weights=qw.weights,
-        sos_polys=qw.polys,
+        True, "singleton Gram spectrahedron", boundary.kernel, True, qw.gram, qw.weights, qw.polys
     )
+
+
+@dataclass(frozen=True)
+class BoundaryChain:
+    """Every stage of the nine-point construction, each computed once.
+
+    Stages after the first one that fails stay None: a rejected tuple
+    stops at ``verdict``, a moment matrix that is not PSD leaves
+    ``kernel`` None, and a kernel of dimension other than 3 stops there.
+    """
+
+    u: tuple[Fraction, ...]
+    verdict: TupleVerdict
+    alpha: LinearFunctional
+    kernel: tuple[Poly, ...] | None = None
+    f: Poly | None = None
+    hilbert: tuple[int, ...] | None = None
+    positivity: PositivityVerdict | None = None
+    boundary: BoundaryCert | None = None
+    uniqueness: UniquenessCert | None = None
+
+    @property
+    def rank(self) -> int | None:
+        return None if self.kernel is None else len(CUBICS) - len(self.kernel)
+
+
+def boundary_chain(cfg: NinePointConfig, tup: WeightTuple) -> BoundaryChain:
+    """Run the construction from nine points and a weight tuple to the
+    uniqueness certificate, handing each stage to the next.
+
+    The moment matrix is checked PSD once (in :func:`kernel_cubics`), the
+    Hilbert function of the kernel is computed once and gives positivity,
+    and the boundary certificate reuses that kernel; its extraction is the
+    one the uniqueness certificate reads.  alpha is built even for a
+    rejected tuple, so it can still be saved.
+    """
+    u = tuple(cb_relation(cfg))
+    verdict = check_tuple(u, tup.a)
+    alpha = functional_from_tuple(cfg, tup)
+    if not verdict.ok:
+        return BoundaryChain(u, verdict, alpha)
+    try:
+        kernel = tuple(kernel_cubics(moment_matrix(alpha)))
+    except NotPsd:
+        return BoundaryChain(u, verdict, alpha)
+    if len(kernel) != 3:
+        return BoundaryChain(u, verdict, alpha, kernel)
+    f = assemble_sextic(kernel)
+    hilbert = hilbert_function(kernel)
+    positivity = _POSITIVITY[_zero_set(hilbert)]
+    boundary = _certify_on_kernel(f, alpha(f), kernel)
+    uniqueness = uniqueness_cert(boundary)
+    return BoundaryChain(u, verdict, alpha, kernel, f, hilbert, positivity, boundary, uniqueness)

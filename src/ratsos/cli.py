@@ -25,7 +25,7 @@ from .errors import (
     RatsosError,
     SpansDiffer,
 )
-from .linalg import SymMatrix, psd_check
+from .linalg import SymMatrix
 from .permgroup import (
     DEFAULT_ENUM_BOUND,
     GroupDesc,
@@ -134,9 +134,8 @@ def cmd_groups(args) -> CommandResult:
         return CommandResult(EXIT_OK, "\n".join(lines))
 
     if args.subcommand == "char-number":
-        gens = parse_generators(args.gens, args.degree)
-        degree = args.degree or max(g.degree for g in gens)
-        group = GroupDesc(degree, tuple(g if g.degree == degree else _pad(g, degree) for g in gens))
+        group = GroupDesc.from_text(args.gens, args.degree)
+        degree = group.degree
         inv = Perm.parse(args.inv, degree)
         c = char_number(group, inv, bound=args.enum_bound)
         star = c == degree - 1
@@ -145,10 +144,6 @@ def cmd_groups(args) -> CommandResult:
         return CommandResult(EXIT_OK, report)
 
     raise AssertionError(f"unknown groups subcommand {args.subcommand}")
-
-
-def _pad(p: Perm, degree: int) -> Perm:
-    return Perm(tuple(p.images) + tuple(range(p.degree, degree)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,65 +198,47 @@ def cmd_field(args) -> CommandResult:
 # boundary
 
 
-def _boundary_chain(points: bd.NinePointConfig, tup: bd.WeightTuple) -> tuple[int, str]:
-    lines = []
-    u = bd.cb_relation(points)
-    lines.append(f"Cayley-Bacharach relation u = ({', '.join(str(v) for v in u)})")
-    verdict = bd.check_tuple(u, tup.a)
-    lines.append(f"tuple check: {verdict.reason}")
-    if not verdict.ok:
+def _render_chain(chain: bd.BoundaryChain) -> tuple[int, str]:
+    lines = [
+        f"Cayley-Bacharach relation u = ({', '.join(str(v) for v in chain.u)})",
+        f"tuple check: {chain.verdict.reason}",
+    ]
+    if not chain.verdict.ok:
         return EXIT_NEGATIVE, "\n".join(lines)
-    alpha = bd.functional_from_tuple(points, tup)
     lines.append(
         "functional alpha on the graded-lex sextic basis: ("
-        + ", ".join(str(c) for c in alpha.coeffs)
+        + ", ".join(str(c) for c in chain.alpha.coeffs)
         + ")"
     )
-    b = bd.moment_matrix(alpha)
-    pv = psd_check(b)
-    if not pv.is_psd:
+    if chain.kernel is None:
         lines.append("moment matrix: NOT PSD")
         return EXIT_NEGATIVE, "\n".join(lines)
-    lines.append(f"moment matrix: PSD, rank {pv.rank}")
-    kernel = bd.kernel_cubics(b)
-    lines.append(f"kernel cubics ({len(kernel)}): " + "; ".join(str(p) for p in kernel))
-    if len(kernel) != 3:
+    lines.append(f"moment matrix: PSD, rank {chain.rank}")
+    lines.append(f"kernel cubics ({len(chain.kernel)}): " + "; ".join(str(p) for p in chain.kernel))
+    if chain.f is None:
         lines.append("kernel dimension != 3: construction inconclusive")
         return EXIT_INCONCLUSIVE, "\n".join(lines)
-    f = bd.assemble_sextic(kernel)
-    lines.append(f"assembled sextic f = {f}")
-    hf = bd.hilbert_function(kernel)
-    lines.append(f"Hilbert function of A/(U): {hf}")
-    positivity = bd.strict_positivity_cert(f, kernel)
-    lines.append(f"strict positivity: {positivity.value}")
-    cert = bd.boundary_cert(f, alpha)
-    lines.append(cert.render())
-    if not cert.certified:
+    lines.append(f"assembled sextic f = {chain.f}")
+    lines.append(f"Hilbert function of A/(U): {chain.hilbert}")
+    lines.append(f"strict positivity: {chain.positivity.value}")
+    lines.append(chain.boundary.render())
+    if not chain.boundary.certified:
         return EXIT_NEGATIVE, "\n".join(lines)
-    uc = bd.uniqueness_cert(f, alpha)
-    lines.append(uc.render())
-    if not uc.certified:
-        return EXIT_INCONCLUSIVE, "\n".join(lines)
-    if positivity is not bd.PositivityVerdict.STRICTLY_POSITIVE:
+    lines.append(chain.uniqueness.render())
+    if not chain.uniqueness.certified or chain.positivity is not bd.PositivityVerdict.STRICTLY_POSITIVE:
         return EXIT_INCONCLUSIVE, "\n".join(lines)
     return EXIT_OK, "\n".join(lines)
 
 
 def cmd_boundary(args) -> CommandResult:
     if args.subcommand == "demo":
-        points = bd.demo_points()
-        tup = bd.demo_tuple()
-        code, report = _boundary_chain(points, tup)
+        chain = bd.boundary_chain(bd.demo_points(), bd.demo_tuple())
+        code, report = _render_chain(chain)
         if code == EXIT_OK:
-            expected = {
-                "u magnitudes": [1, 1, 1, 1, 2, 2, 2, 2, 4],
-                "rank": 7,
-                "hilbert": (1, 3, 6, 7, 6, 3, 1, 0),
-            }
-            u = bd.cb_relation(points)
             checks_ok = (
-                [abs(v) for v in u] == expected["u magnitudes"]
-                and bd.hilbert_function(list(bd.demo_kernel_cubics())) == expected["hilbert"]
+                [abs(v) for v in chain.u] == [1, 1, 1, 1, 2, 2, 2, 2, 4]
+                and chain.rank == 7
+                and chain.hilbert == (1, 3, 6, 7, 6, 3, 1, 0)
             )
             if not checks_ok:
                 return CommandResult(EXIT_INCONCLUSIVE, report + "\nexpected-value check FAILED")
@@ -274,10 +251,10 @@ def cmd_boundary(args) -> CommandResult:
             tup = bd.WeightTuple.parse(args.tuple)
         except (OSError, ValueError, RatsosError) as exc:
             return CommandResult(EXIT_INPUT, f"input error: {exc}")
-        code, report = _boundary_chain(points, tup)
-        if args.save_functional and code != EXIT_INPUT:
-            alpha = bd.functional_from_tuple(points, tup)
-            Path(args.save_functional).write_text(alpha.to_text())
+        chain = bd.boundary_chain(points, tup)
+        code, report = _render_chain(chain)
+        if args.save_functional:
+            Path(args.save_functional).write_text(chain.alpha.to_text())
             report += f"\nfunctional written to {args.save_functional}"
         return CommandResult(code, report)
 
@@ -293,7 +270,7 @@ def cmd_boundary(args) -> CommandResult:
         cert = bd.boundary_cert(f, alpha, witness=witness)
         if not cert.certified:
             return CommandResult(EXIT_NEGATIVE, cert.render())
-        uc = bd.uniqueness_cert(f, alpha)
+        uc = bd.uniqueness_cert(cert)
         report = cert.render() + "\n" + uc.render()
         return CommandResult(EXIT_OK if uc.certified else EXIT_INCONCLUSIVE, report)
 

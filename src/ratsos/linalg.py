@@ -100,14 +100,6 @@ def lin_solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Vec | None, int]
     return x, ncols - len(pivots)
 
 
-def mat_vec(rows: Sequence[Sequence], v: Sequence) -> Vec:
-    return [sum((Fraction(a) * Fraction(x) for a, x in zip(row, v)), Fraction(0)) for row in rows]
-
-
-def transpose(rows: Sequence[Sequence]) -> Mat:
-    return [list(col) for col in zip(*[[Fraction(x) for x in r] for r in rows])]
-
-
 @dataclass(frozen=True)
 class SymMatrix:
     """Exact rational symmetric matrix."""

@@ -311,17 +311,13 @@ def enumerate_group(group: GroupDesc, bound: int = DEFAULT_ENUM_BOUND) -> list[P
     return [Perm(t) for t in sorted(seen)]
 
 
-def group_order(group: GroupDesc, bound: int = DEFAULT_ENUM_BOUND) -> int:
-    return len(enumerate_group(group, bound))
-
-
-def fpf_involution_classes(group: GroupDesc, bound: int = DEFAULT_ENUM_BOUND) -> list[Perm]:
+def fpf_involution_classes(group: GroupDesc, elements: Sequence[Perm]) -> list[Perm]:
     """One representative per conjugacy class of fixed-point-free involutions.
 
-    Enumeration-based; classes are closed under conjugation by the
-    generators.  Odd degree yields the empty list.
+    ``elements`` is the sorted element list from :func:`enumerate_group`;
+    classes are closed under conjugation by the generators.  Odd degree
+    yields the empty list.
     """
-    elements = enumerate_group(group, bound)
     fpf = [p for p in elements if p.is_involution() and p.is_fixed_point_free()]
     reps: list[Perm] = []
     assigned: set[Perm] = set()
@@ -411,15 +407,14 @@ class GroupAnalysis:
 
 def classify(group: GroupDesc, bound: int = DEFAULT_ENUM_BOUND) -> GroupAnalysis:
     """Full analysis: transitivity, 2-transitivity, fpf classes with their
-    characteristic numbers and the (*) / (**) verdicts."""
+    characteristic numbers and the (*) / (**) verdicts.  The group is
+    enumerated once; the fpf classes are read off that element list."""
     n = group.degree
     transitive = is_transitive(group)
     two_trans = is_two_transitive(group) if n >= 2 else False
     elements = enumerate_group(group, bound)
-    order = len(elements)
-    reps = fpf_involution_classes(group, bound)
     infos = []
-    for t in reps:
+    for t in fpf_involution_classes(group, elements):
         # 2-transitive actions reach every pair, so c = n - 1 without closure
         c = n - 1 if two_trans else char_number(group, t, bound, check_membership=False)
         infos.append(
@@ -437,7 +432,7 @@ def classify(group: GroupDesc, bound: int = DEFAULT_ENUM_BOUND) -> GroupAnalysis
         is_two_transitive=two_trans,
         has_fpf_involution=bool(infos),
         fpf_classes=tuple(infos),
-        order=order,
+        order=len(elements),
     )
 
 

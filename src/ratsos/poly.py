@@ -517,20 +517,6 @@ class UniPoly:
             return self
         return self // g
 
-    def primitive_integer(self) -> "UniPoly":
-        """Integer-coefficient scalar multiple with content 1 and positive lead."""
-        if not self.coeffs:
-            return self
-        den = lcm(*[c.denominator for c in self.coeffs])
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        return UniPoly(ints)
-
     # -- comparison / display ---------------------------------------------
 
     def __eq__(self, other):

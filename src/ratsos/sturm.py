@@ -7,7 +7,7 @@ parameters in span shrinking, and to find rational roots exactly.
 from fractions import Fraction
 
 from .errors import ZeroPolynomial
-from .poly import UniPoly
+from .poly import UniPoly, primitive_vector
 
 
 def sturm_chain(p: UniPoly) -> list[UniPoly]:
@@ -160,8 +160,7 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
     """All rational roots of ``p``, ascending (via the rational root theorem)."""
     if not p:
         raise ZeroPolynomial("zero polynomial")
-    prim = p.primitive_integer()
-    coeffs = [int(c) for c in prim.coeffs]
+    coeffs = [int(c) for c in primitive_vector(p.coeffs)]  # roots ignore the sign
     roots: list[Fraction] = []
     # strip zero roots
     shift = 0

@@ -145,7 +145,7 @@ def test_criterion_4_boundary_demo_chain():
 
         bc = boundary_cert(f, alpha)
         assert bc.certified and bc.psd_rank == 7 and bc.kernel_dim == 3 and bc.alpha_f == 0
-        uc = uniqueness_cert(f, alpha)
+        uc = uniqueness_cert(bc)
         assert uc.certified
         assert uc.restricted_gram == SymMatrix.identity(3)
 
@@ -205,7 +205,7 @@ def test_criterion_6_property_suites():
         for degree in (4, 6, 8):
             for group in load_bundled_catalog(degree):
                 elements = enumerate_group(group)
-                for t in fpf_involution_classes(group):
+                for t in fpf_involution_classes(group, elements):
                     c = char_number(group, t, check_membership=False)
                     brute = {(g * t * g.inverse()).apply(0) for g in elements}
                     assert len(brute) == c, f"{group.label}: {len(brute)} != {c}"

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from ratsos import boundary
 from ratsos.boundary import (
-    BoundaryCert,
     LinearFunctional,
     NinePointConfig,
     PositivityVerdict,
     WeightTuple,
     ZeroSetVerdict,
     assemble_sextic,
+    boundary_chain,
     boundary_cert,
     cb_relation,
     check_tuple,
@@ -30,9 +31,11 @@ from ratsos.boundary import (
 from ratsos.errors import (
     DuplicatePoint,
     LinearlyDependent,
+    MissingGramWitness,
     NotASumOverU,
     NotCayleyBacharach,
     NotPsd,
+    NotQuadraticallyIndependent,
 )
 from ratsos.gram import SosRep, gram_from_squares
 from ratsos.linalg import SymMatrix, psd_check, rank, rref
@@ -295,7 +298,7 @@ def test_boundary_cert_accepts_explicit_witness():
 
 def test_uniqueness_cert_demo():
     alpha = functional_from_tuple(demo_points(), demo_tuple())
-    cert = uniqueness_cert(PAPER_SEXTIC, alpha)
+    cert = uniqueness_cert(boundary_cert(PAPER_SEXTIC, alpha))
     assert cert.certified
     assert cert.quadratically_independent
     assert cert.restricted_gram == SymMatrix.identity(3)
@@ -306,7 +309,7 @@ def test_uniqueness_cert_demo():
 
 def test_uniqueness_cert_scaling_invariance():
     alpha = functional_from_tuple(demo_points(), demo_tuple())
-    cert5 = uniqueness_cert(PAPER_SEXTIC, alpha.scaled(5))
+    cert5 = uniqueness_cert(boundary_cert(PAPER_SEXTIC, alpha.scaled(5)))
     assert cert5.certified
     assert cert5.restricted_gram == SymMatrix.identity(3)
     assert set(cert5.kernel_basis) == {P1, P2, P3}
@@ -315,9 +318,92 @@ def test_uniqueness_cert_scaling_invariance():
 def test_uniqueness_cert_interior_precondition_fails():
     alpha = functional_from_tuple(demo_points(), demo_tuple())
     f0 = Poly.parse("x1^6 + x2^6 + x3^6")
-    cert = uniqueness_cert(f0, alpha)
+    cert = uniqueness_cert(boundary_cert(f0, alpha))
     assert not cert.certified
     assert "boundary certificate failed" in cert.reason
+
+
+def test_boundary_cert_rejects_indefinite_kernel_gram():
+    # alpha(f) = 0, but the unique Gram matrix on the kernel cubics is diag(1, -1, 1)
+    alpha = functional_from_tuple(demo_points(), demo_tuple())
+    f = P1 * P1 - P2 * P2 + P3 * P3
+    assert alpha(f) == 0
+    cert = boundary_cert(f, alpha)
+    assert not cert.certified
+    assert cert.psd_rank == 7 and cert.kernel_dim == 3
+    assert "not SOS" in cert.reason and "indefinite" in cert.reason
+    assert "boundary certificate failed" in uniqueness_cert(cert).reason
+
+
+def test_boundary_cert_rejects_form_outside_the_kernel_products():
+    # x1^3 p1 lies in U*A3 = ker(alpha) but not in the span of the p_i p_j
+    alpha = functional_from_tuple(demo_points(), demo_tuple())
+    f = Poly.variable(1, 3) ** 3 * P1
+    assert alpha(f) == 0
+    cert = boundary_cert(f, alpha)
+    assert not cert.certified
+    assert "not SOS" in cert.reason and "span" in cert.reason
+
+
+def _raising(exc):
+    def extract(*args, **kwargs):
+        raise exc
+
+    return extract
+
+
+def test_boundary_cert_dependent_kernel_products_need_a_witness(monkeypatch):
+    alpha = functional_from_tuple(demo_points(), demo_tuple())
+    monkeypatch.setattr(boundary, "extract_qsos", _raising(NotQuadraticallyIndependent("dependent")))
+    with pytest.raises(MissingGramWitness):
+        boundary_cert(PAPER_SEXTIC, alpha)
+
+
+def test_boundary_cert_lets_program_errors_through(monkeypatch):
+    alpha = functional_from_tuple(demo_points(), demo_tuple())
+    monkeypatch.setattr(boundary, "extract_qsos", _raising(AssertionError("reconstruction differs")))
+    with pytest.raises(AssertionError):
+        boundary_cert(PAPER_SEXTIC, alpha)
+
+
+def test_uniqueness_cert_reads_the_boundary_extraction(monkeypatch):
+    alpha = functional_from_tuple(demo_points(), demo_tuple())
+    bc = boundary_cert(PAPER_SEXTIC, alpha)
+    assert bc.extraction is not None and set(bc.kernel) == {P1, P2, P3}
+    monkeypatch.setattr(boundary, "extract_qsos", _raising(AssertionError("extracted twice")))
+    uc = uniqueness_cert(bc)
+    assert uc.certified and uc.restricted_gram is bc.extraction.gram
+
+
+def test_uniqueness_cert_extracts_after_a_supplied_witness(monkeypatch):
+    alpha = functional_from_tuple(demo_points(), demo_tuple())
+    bc = boundary_cert(PAPER_SEXTIC, alpha, witness=SosRep((P1, P2, P3)))
+    assert bc.certified and bc.extraction is None
+    uc = uniqueness_cert(bc)
+    assert uc.certified and uc.restricted_gram == SymMatrix.identity(3)
+    monkeypatch.setattr(boundary, "extract_qsos", _raising(NotQuadraticallyIndependent("dependent")))
+    uc = uniqueness_cert(bc)
+    assert not uc.certified and uc.quadratically_independent is False
+
+
+def test_boundary_chain_demo():
+    chain = boundary_chain(demo_points(), demo_tuple())
+    assert list(chain.u) == DEMO_U and chain.verdict.ok
+    assert chain.alpha == functional_from_tuple(demo_points(), demo_tuple())
+    assert chain.rank == 7 and set(chain.kernel) == {P1, P2, P3}
+    assert chain.f == PAPER_SEXTIC
+    assert chain.hilbert == (1, 3, 6, 7, 6, 3, 1, 0)
+    assert chain.positivity is PositivityVerdict.STRICTLY_POSITIVE
+    assert chain.boundary.certified and chain.boundary.kernel == chain.kernel
+    assert chain.uniqueness.certified
+    assert chain.uniqueness.restricted_gram is chain.boundary.extraction.gram
+
+
+def test_boundary_chain_stops_at_a_rejected_tuple():
+    chain = boundary_chain(demo_points(), WeightTuple((1, 1, 1, 1, 4, 4, 4, 4, -3)))
+    assert not chain.verdict.ok
+    assert chain.alpha is not None  # still built, so it can be saved
+    assert chain.kernel is None and chain.rank is None and chain.boundary is None
 
 
 def test_kernel_functional_identities_demo():

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from ratsos.boundary import demo_points, demo_tuple, functional_from_tuple
+from ratsos.boundary import demo_kernel_cubics, demo_points, demo_tuple, functional_from_tuple
 from ratsos.cli import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, run
 from ratsos.poly import Poly
 
@@ -130,6 +130,20 @@ def test_boundary_certify_demo_form(tmp_path):
     res = run(["boundary", "certify", "--form", str(ffile), "--functional", str(afile)])
     assert res.exit_code == EXIT_OK
     assert "certified singleton" in res.report
+
+
+def test_boundary_certify_indefinite_kernel_gram_is_negative(tmp_path):
+    # alpha(f) = 0 and f = p1^2 - p2^2 + p3^2 has the indefinite Gram matrix diag(1, -1, 1)
+    p1, p2, p3 = demo_kernel_cubics()
+    alpha = functional_from_tuple(demo_points(), demo_tuple())
+    afile = tmp_path / "alpha.txt"
+    afile.write_text(alpha.to_text())
+    ffile = tmp_path / "f.txt"
+    ffile.write_text(str(p1 * p1 - p2 * p2 + p3 * p3))
+    res = run(["boundary", "certify", "--form", str(ffile), "--functional", str(afile)])
+    assert res.exit_code == EXIT_NEGATIVE
+    assert "alpha(f) = 0" in res.report
+    assert "verdict: rejected (f has no PSD Gram matrix on the kernel cubics" in res.report
 
 
 def test_gram_extract_q():

@@ -1,0 +1,54 @@
+"""Byte-for-byte reports and exit codes of the paper's pipelines.
+
+Each ``tests/data/golden/<name>.out`` holds ``exit <code>`` on its first
+line and the report after it, recorded from the CLI on the inputs below.
+A refactor that changes a single byte of a report fails here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from ratsos.cli import run
+
+DATA = Path(__file__).parent / "data" / "golden"
+
+
+def _data(name: str) -> str:
+    return str(DATA / name)
+
+
+CASES = {
+    "boundary-demo": ["boundary", "demo"],
+    "boundary-construct": [
+        "boundary", "construct", "--points", _data("demo_points.txt"), "--tuple", "1,1,1,1,4,4,4,4,-2",
+    ],
+    "boundary-certify": [
+        "boundary", "certify", "--form", _data("demo_sextic.txt"), "--functional", _data("demo_functional.txt"),
+    ],
+    "boundary-certify-witness": [
+        "boundary", "certify", "--form", _data("demo_sextic.txt"), "--functional", _data("demo_functional.txt"),
+        "--witness", _data("demo_witness.txt"),
+    ],
+    **{
+        f"groups-table-{d}{suffix}": ["groups", "table", "--catalog", f"degree{d}.cat", *flags]
+        for d in (4, 6, 8)
+        for suffix, flags in (("", []), ("-json", ["--json"]))
+    },
+    "groups-classify-d4": ["groups", "classify", "--gens", "(1 2 3 4),(1 3)"],
+    "groups-classify-s6": ["groups", "classify", "--gens", "(1 2 3 4 5 6),(1 2)", "--label", "S6"],
+    "groups-char-number-d4": ["groups", "char-number", "--gens", "(1 2 3 4),(1 3)", "--inv", "(1 2)(3 4)"],
+    "groups-char-number-s6": [
+        "groups", "char-number", "--gens", "(1 2 3 4 5 6),(1 2)", "--inv", "(1 2)(3 4)(5 6)", "--degree", "6",
+    ],
+}
+
+
+def render(argv) -> str:
+    result = run(argv)
+    return f"exit {result.exit_code}\n{result.report}\n"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_is_byte_identical(name):
+    assert render(CASES[name]) == (DATA / f"{name}.out").read_text()

@@ -89,13 +89,14 @@ def test_enumerate():
 
 
 def test_fpf_involution_classes():
-    reps = fpf_involution_classes(C2xC2)
+    reps = fpf_involution_classes(C2xC2, enumerate_group(C2xC2))
     assert len(reps) == 3  # abelian: each nonidentity element its own class
-    reps = fpf_involution_classes(D4)
+    reps = fpf_involution_classes(D4, enumerate_group(D4))
     assert len(reps) == 2
     types = sorted(str(t) for t in reps)
     assert "(1 3)(2 4)" in types  # the rotation class
-    assert len(fpf_involution_classes(G("(1 2 3)"))) == 0  # odd degree
+    C3 = G("(1 2 3)")
+    assert len(fpf_involution_classes(C3, enumerate_group(C3))) == 0  # odd degree
 
 
 def test_char_number_examples():
@@ -105,7 +106,7 @@ def test_char_number_examples():
     # S4 with any fpf involution: 2-transitive forces c = 3 = |X| - 1
     assert char_number(S4, Perm.parse("(1 2)(3 4)")) == 3
     # abelian regular: M_t(x) = {tx}
-    for t in fpf_involution_classes(C2xC2):
+    for t in fpf_involution_classes(C2xC2, enumerate_group(C2xC2)):
         assert char_number(C2xC2, t) == 1
     assert char_number(C6, Perm.parse("(1 4)(2 5)(3 6)")) == 1
 
@@ -124,7 +125,7 @@ def test_char_number_invariants():
     rng = random.Random(5)
     for group in (D4, S4, A4, C2xC2, C6):
         elements = enumerate_group(group)
-        for t in fpf_involution_classes(group):
+        for t in fpf_involution_classes(group, elements):
             c = char_number(group, t)
             assert 1 <= c <= group.degree - 1
             g = elements[rng.randrange(len(elements))]
@@ -183,7 +184,7 @@ def test_pair_closure_equals_bruteforce_on_catalogs():
     for degree in (4, 6):
         for group in load_bundled_catalog(degree):
             elements = enumerate_group(group)
-            for t in fpf_involution_classes(group):
+            for t in fpf_involution_classes(group, elements):
                 c = char_number(group, t)
                 brute = {(g * t * g.inverse()).apply(0) for g in elements}
                 assert len(brute) == c, f"{group.label}: {len(brute)} != {c}"
