@@ -17,7 +17,7 @@ from . import boundary as bd
 from . import gram as gr
 from . import numfield as nf
 from .errors import (
-    DegreeTooSmall,
+    CheckFailed,
     EqualPoints,
     NotPsd,
     NotQuadraticallyIndependent,
@@ -357,6 +357,16 @@ def cmd_gram(args) -> CommandResult:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratsos",
@@ -366,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         "A NotQSos certificate is a success of the method and exits 0.",
     )
     parser.add_argument("--precision-bits", type=int, default=128, help="working precision (default 128)")
-    parser.add_argument("--enum-bound", type=int, default=DEFAULT_ENUM_BOUND,
+    parser.add_argument("--enum-bound", type=_positive_int, default=DEFAULT_ENUM_BOUND,
                         help="group enumeration bound (default 10^6)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -441,8 +451,8 @@ def run(argv=None) -> CommandResult:
         raise SystemExit(EXIT_INPUT if exc.code else 0)
     try:
         return DISPATCH[args.command](args)
-    except (DegreeTooSmall,) as exc:
-        return CommandResult(EXIT_INPUT, f"{type(exc).__name__}: {exc}")
+    except CheckFailed as exc:
+        return CommandResult(EXIT_INCONCLUSIVE, f"{type(exc).__name__}: {exc}")
     except FileNotFoundError as exc:
         return CommandResult(EXIT_INPUT, f"input error: {exc}")
     except RatsosError as exc:

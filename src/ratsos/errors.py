@@ -5,6 +5,10 @@ class RatsosError(Exception):
     """Base class for all toolkit errors."""
 
 
+class CheckFailed(RatsosError):
+    """An exact check of a computed result failed; the result is withheld."""
+
+
 class ParseError(RatsosError):
     """Malformed polynomial, permutation, matrix or catalog text."""
 

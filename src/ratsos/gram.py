@@ -6,7 +6,8 @@ monomial basis with X^t G X = f; its points correspond to SOS
 representations up to orthogonal equivalence.  Everything here is exact:
 PSD means the tolerance-free Schur-complement certificate, extraction
 solves the unique linear system over the rationals, and the boundary
-parameter in span shrinking is located by Sturm isolation.
+parameter in span shrinking is located by Sturm isolation and, when it is
+rational, found exactly by p-adic lifting.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import (
+    CheckFailed,
     EqualPoints,
     HeterogeneousDegrees,
     LinearlyDependent,
@@ -24,7 +26,7 @@ from .errors import (
     SpansDiffer,
 )
 from .foursquares import four_squares
-from .linalg import SymMatrix, ldl_sos, lin_solve, psd_check, rref
+from .linalg import SymMatrix, lin_solve, psd_check, rref
 from .poly import Poly, UniPoly, monomials, primitive_vector
 from .resultants import det_ring
 from .sturm import isolate_real_roots, rational_roots, refine_interval
@@ -197,6 +199,10 @@ def extract_qsos(f: Poly, basis_polys: list[Poly]) -> QSosWitness:
         raise LinearlyDependent("empty basis")
     nvars = basis_polys[0].nvars
     deg = basis_polys[0].degree()
+    if any(sum(e) != deg for p in basis_polys for e in p.terms):
+        raise HeterogeneousDegrees("basis polynomials must be forms of one degree")
+    if any(sum(e) != 2 * deg for e in f.terms):
+        raise HeterogeneousDegrees(f"f must be a form of degree {2 * deg}, twice the basis degree")
     basis = monomials(nvars, deg)
     rows = [p.coeff_vector(basis) for p in basis_polys]
     if len(rref(rows)[0]) != len(basis_polys):
@@ -230,7 +236,7 @@ def extract_qsos(f: Poly, basis_polys: list[Poly]) -> QSosWitness:
     weights = []
     polys = []
     expanded = []
-    for w, vec in ldl_sos(gram):
+    for w, vec in verdict.weighted_squares():
         p = Poly.zero(nvars)
         for coeff, bp in zip(vec, basis_polys):
             if coeff:
@@ -243,8 +249,10 @@ def extract_qsos(f: Poly, basis_polys: list[Poly]) -> QSosWitness:
     witness = QSosWitness(
         weights=tuple(weights), polys=tuple(polys), expanded=tuple(expanded), gram=gram
     )
-    assert witness.reconstruct_weighted() == f
-    assert witness.reconstruct_squares() == f
+    if witness.reconstruct_weighted() != f:
+        raise CheckFailed("the weighted squares of the LDL^T terms do not expand to f")
+    if witness.reconstruct_squares() != f:
+        raise CheckFailed("the four-square expansion does not expand to f")
     return witness
 
 
@@ -269,7 +277,8 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
     """Produce a Gram point of the same form with strictly smaller span.
 
     Walks G(s) = G1 + s (G2 - G1) in the coordinates of the common span;
-    s* is the smallest root > 1 of det Q(s), located by Sturm isolation.
+    s* is the smallest root > 1 of det Q(s), located by Sturm isolation
+    and, if rational, found exactly among the rational roots of det Q.
     At a rational s* the boundary matrix is returned with its rank drop
     verified exactly; at an irrational s* the isolating interval comes back
     with the deferred flag.
@@ -308,23 +317,10 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
         raise SpansDiffer("no boundary parameter s > 1 on the line (unexpected for a compact face)")
     lo, hi = intervals[0]
     rank_before = v1.rank
-    exact = None
-    try:
-        candidates = rational_roots(det_poly)
-    except ValueError:  # divisor enumeration beyond desk scale
-        candidates = []
-    for root in candidates:
-        if lo < root <= hi:
-            exact = root
-            break
-    if exact is None:
+    exact = next((root for root in rational_roots(det_poly) if lo < root <= hi), None)
+    if exact is None:  # s* is irrational: refinement cannot land on it
         lo, hi = refine_interval(det_poly, (lo, hi), Fraction(1, 2**64))
-        if lo == hi:  # refinement hit the root exactly after all
-            exact = lo
-        else:
-            return ShrinkResult(
-                s_interval=(lo, hi), deferred=True, rank_before=rank_before
-            )
+        return ShrinkResult(s_interval=(lo, hi), deferred=True, rank_before=rank_before)
     q_star = [
         [q1[i][j] + exact * (q2[i][j] - q1[i][j]) for j in range(r)] for i in range(r)
     ]
@@ -347,8 +343,10 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
     verdict = psd_check(gprime.matrix)
     if not verdict.is_psd:
         raise NotPsd("boundary matrix is not PSD; the line left the cone before s*")
-    assert mu(gprime) == f
-    assert verdict.rank < rank_before
+    if mu(gprime) != f:
+        raise CheckFailed(f"the boundary matrix at s* = {exact} does not represent the form")
+    if verdict.rank >= rank_before:
+        raise CheckFailed(f"the rank does not drop at s* = {exact} ({rank_before} -> {verdict.rank})")
     return ShrinkResult(
         s_interval=(exact, exact),
         s_exact=exact,

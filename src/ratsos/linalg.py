@@ -171,6 +171,16 @@ class PsdVerdict:
     witness: tuple[Fraction, ...] | None = None
     witness_value: Fraction | None = None
 
+    def weighted_squares(self) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
+        """The terms ``(d_k, v_k)`` of ``M = sum d_k v_k v_k^T``, one per positive pivot."""
+        if not self.is_psd:
+            raise NotPsd(f"matrix is not PSD (witness value {self.witness_value})")
+        return [
+            (d, tuple(row[k] for row in self.unit_lower))
+            for k, d in enumerate(self.pivots)
+            if d > 0
+        ]
+
 
 def _lift_witness(lower: Mat, u: Vec) -> Vec:
     # Solve L_k^T w = u by back-substitution; only columns < step of L are
@@ -244,12 +254,4 @@ def ldl_sos(m: SymMatrix) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
     The number of terms equals the rank.  Raises :class:`NotPsd` when the
     matrix is not positive semidefinite.
     """
-    verdict = psd_check(m)
-    if not verdict.is_psd:
-        raise NotPsd(f"matrix is not PSD (witness value {verdict.witness_value})")
-    terms = []
-    for k, d in enumerate(verdict.pivots):
-        if d > 0:
-            col = tuple(verdict.unit_lower[i][k] for i in range(m.size))
-            terms.append((d, col))
-    return terms
+    return psd_check(m).weighted_squares()

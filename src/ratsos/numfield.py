@@ -18,6 +18,7 @@ from itertools import combinations
 import mpmath
 
 from .errors import (
+    CheckFailed,
     DegreeTooSmall,
     GaloisDataMissing,
     NotMonic,
@@ -402,11 +403,12 @@ def _depress_quartic(m: UniPoly) -> tuple[Fraction, Fraction, Fraction, Fraction
     return a3 / 4, p, q, r
 
 
-def _quartic_reducible(m: UniPoly, p: Fraction, q: Fraction, r: Fraction) -> bool:
+def _quartic_reducible(
+    m: UniPoly, p: Fraction, q: Fraction, r: Fraction, resolvent_roots: list[Fraction]
+) -> bool:
     if rational_roots(m):
         return True
-    resolvent = UniPoly([4 * p * r - q * q, -4 * r, -p, Fraction(1)])
-    for y0 in rational_roots(resolvent):
+    for y0 in resolvent_roots:
         if q != 0:
             e1 = y0 - p
             if e1 != 0 and _is_rational_square(e1):
@@ -447,11 +449,11 @@ def quartic_galois(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
     if not m.is_squarefree():
         raise Reducible("polynomial has repeated roots")
     _, p, q, r = _depress_quartic(m)
-    if _quartic_reducible(m, p, q, r):
-        raise Reducible(f"{m} has a proper rational factor")
     resolvent = UniPoly([4 * p * r - q * q, -4 * r, -p, Fraction(1)])
-    disc = discriminant(m)
     roots = rational_roots(resolvent)
+    if _quartic_reducible(m, p, q, r, roots):
+        raise Reducible(f"{m} has a proper rational factor")
+    disc = discriminant(m)
     rs = isolate_roots(m, precision_bits)
     if len(roots) == 0:
         label = "A4" if _is_rational_square(disc) else "S4"
@@ -464,7 +466,10 @@ def quartic_galois(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
     if len(roots) == 3:
         group = GroupDesc(4, (Perm.parse("(1 2)(3 4)"), Perm.parse("(1 3)(2 4)")), "V4")
         return QuarticGalois("V4", group, rs, resolvent, disc)
-    assert len(roots) == 1, "resolvent of a squarefree quartic cannot have 2 rational roots"
+    if len(roots) != 1:
+        raise CheckFailed(
+            f"resolvent cubic {resolvent} of a squarefree quartic has {len(roots)} rational roots"
+        )
     y0 = roots[0]
     e1 = y0 - p
     e2 = y0 * y0 - 4 * r

@@ -187,15 +187,7 @@ class GroupDesc:
     @classmethod
     def from_text(cls, gens_text: str, degree: int | None = None, label: str = "") -> "GroupDesc":
         gens = parse_generators(gens_text, degree)
-        deg = degree if degree is not None else max(g.degree for g in gens)
-        gens = tuple(g if g.degree == deg else _pad(g, deg) for g in gens)
-        return cls(deg, gens, label)
-
-
-def _pad(p: Perm, degree: int) -> Perm:
-    if p.degree > degree:
-        raise ValueError("cannot shrink a permutation")
-    return Perm(tuple(p.images) + tuple(range(p.degree, degree)))
+        return cls(gens[0].degree, gens, label)
 
 
 def parse_generators(text: str, degree: int | None = None) -> tuple[Perm, ...]:

@@ -136,8 +136,7 @@ class Poly:
                 if m:
                     if saw_coeff or saw_monomial:
                         raise ParseError(f"misplaced coefficient in term {raw!r}")
-                    num, den = m.group(1), m.group(2)
-                    coeff *= Fraction(int(num), int(den) if den else 1)
+                    coeff *= parse_rational(part)
                     saw_coeff = True
                     continue
                 m = _VAR_RE.match(part)
@@ -364,8 +363,7 @@ class UniPoly:
             for part in body.split("*"):
                 m = _COEFF_RE.match(part)
                 if m:
-                    num, den = m.group(1), m.group(2)
-                    coeff *= Fraction(int(num), int(den) if den else 1)
+                    coeff *= parse_rational(part)
                     saw_any = True
                     continue
                 m = var_re.match(part)

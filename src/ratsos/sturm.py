@@ -1,7 +1,10 @@
-"""Sturm chains: exact real-root counting and isolation for UniPoly.
+"""Exact real roots of UniPoly: Sturm chains and p-adic rational roots.
 
-Used to decide "totally imaginary" (zero real roots), to isolate boundary
-parameters in span shrinking, and to find rational roots exactly.
+Sturm chains count and isolate real roots; they decide "totally imaginary"
+(zero real roots) and isolate boundary parameters in span shrinking.
+Rational roots (quartic Galois groups, rational boundary parameters) are
+found by Hensel lifting of the roots modulo one prime, in time polynomial
+in the degree and the coefficient bit size.
 """
 
 from fractions import Fraction
@@ -137,45 +140,73 @@ def refine_interval(
     return (a, b)
 
 
-def _divisors(n: int, cap: int = 10**7) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return []
-    small, large = [], []
-    d = 1
-    steps = 0
-    while d * d <= n:
-        steps += 1
-        if steps > cap:
-            raise ValueError("divisor enumeration too large for desk-scale search")
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _primes():
+    """2, 3, 5, 7, ... by trial division."""
+    found: list[int] = []
+    n = 2
+    while True:
+        if all(n % d for d in found if d * d <= n):
+            found.append(n)
+            yield n
+        n += 1
+
+
+def _value(coeffs: list[int], x: int, m: int = 0) -> int:
+    """Integer polynomial at ``x``, reduced mod ``m`` at every step unless m = 0."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+        if m:
+            acc %= m
+    return acc
+
+
+def _simple_roots_mod_prime(monic: list[int], deriv: list[int]) -> tuple[int, list[int]]:
+    """The first prime p at which every root of ``monic`` mod p is simple, and those roots.
+
+    ``deriv`` is the derivative of ``monic``.  Only the primes dividing the
+    discriminant can fail, so a squarefree ``monic`` ends the search.
+    """
+    for prime in _primes():
+        small = [a % prime for a in monic]
+        residues = [r for r in range(prime) if _value(small, r, prime) == 0]
+        if all(_value(deriv, r, prime) for r in residues):
+            return prime, residues
 
 
 def rational_roots(p: UniPoly) -> list[Fraction]:
-    """All rational roots of ``p``, ascending (via the rational root theorem)."""
+    """All rational roots of ``p``, ascending, by p-adic lifting (Loos 1983).
+
+    Let q be the squarefree primitive integer part of ``p`` without zero
+    roots, n its degree and c its leading coefficient.  The rational roots
+    of q are y/c for the integer roots y of the monic integer polynomial
+    P(y) = c^(n-1) q(y/c).  Those are found modulo the first prime at which
+    every root of P is simple, then each is lifted by Newton steps that
+    square the modulus until it exceeds twice the Cauchy bound of P, and
+    kept only if P(y) = 0 exactly.  No root modulo that prime proves that
+    q has no rational root.  The cost is polynomial in the degree and the
+    bit size of the coefficients.
+    """
     if not p:
         raise ZeroPolynomial("zero polynomial")
-    coeffs = [int(c) for c in primitive_vector(p.coeffs)]  # roots ignore the sign
-    roots: list[Fraction] = []
-    # strip zero roots
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-        shift += 1
-    if shift:
-        roots.append(Fraction(0))
-    if len(coeffs) <= 1:
-        return sorted(roots)
-    a0, an = coeffs[0], coeffs[-1]
-    q = UniPoly(coeffs)
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in roots and q(cand) == 0:
-                    roots.append(cand)
+    low = next(i for i, a in enumerate(p.coeffs) if a)
+    roots = [Fraction(0)] if low else []
+    q = UniPoly(p.coeffs[low:])
+    if q.degree() == 0:
+        return roots
+    q_int = [int(a) for a in primitive_vector(q.squarefree_part().coeffs)]
+    n, c = len(q_int) - 1, q_int[-1]
+    monic = [a * c ** (n - 1 - i) for i, a in enumerate(q_int[:-1])] + [1]
+    deriv = [i * a for i, a in enumerate(monic)][1:]
+    bound = 1 + max(abs(a) for a in monic[:-1])
+    prime, residues = _simple_roots_mod_prime(monic, deriv)
+    for y in residues:
+        m = prime
+        while m <= 2 * bound:
+            m *= m
+            y = (y - _value(monic, y, m) * pow(_value(deriv, y, m), -1, m)) % m
+        if 2 * y > m:
+            y -= m
+        if _value(monic, y) == 0:
+            roots.append(Fraction(y, c))
     return sorted(roots)

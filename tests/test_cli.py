@@ -1,11 +1,15 @@
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from ratsos import numfield
 from ratsos.boundary import demo_kernel_cubics, demo_points, demo_tuple, functional_from_tuple
 from ratsos.cli import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, run
-from ratsos.poly import Poly
+from ratsos.linalg import SymMatrix, psd_check, rank
+from ratsos.poly import Poly, monomials
 
 
 def test_groups_table_degree4():
@@ -59,6 +63,31 @@ def test_field_obstruct_d4():
 def test_field_obstruct_degree_too_small():
     res = run(["field", "obstruct", "--minpoly", "t^2+1"])
     assert res.exit_code == EXIT_INPUT
+
+
+def test_field_obstruct_a4_with_a_large_constant_term():
+    # 2882815569 has no divisor search within reach of a desk budget; the
+    # rational roots of m and of its resolvent cubic come from p-adic lifting
+    res = run(["field", "obstruct", "--minpoly=t^4-12*t^3+54*t^2-15253100*t+2882815569"])
+    assert res.exit_code == EXIT_OK
+    assert "Galois action: A4" in res.report
+    assert "conclusion: NotQSos" in res.report
+
+
+def test_field_obstruct_zero_denominator_is_an_input_error():
+    res = run(["field", "obstruct", "--minpoly", "t^4+t+1/0"])
+    assert res.exit_code == EXIT_INPUT
+    assert res.report == "ParseError: bad rational '1/0'"
+
+
+def test_field_galois_failed_check_is_inconclusive(monkeypatch):
+    true_roots = numfield.rational_roots
+    monkeypatch.setattr(
+        numfield, "rational_roots", lambda p: [Fraction(2), Fraction(3)] if p.degree() == 3 else true_roots(p)
+    )
+    res = run(["field", "galois", "--minpoly", "t^4+t+1"])
+    assert res.exit_code == EXIT_INCONCLUSIVE
+    assert res.report.startswith("CheckFailed: resolvent cubic")
 
 
 def test_field_normform():
@@ -191,6 +220,57 @@ def test_gram_shrink(tmp_path):
     assert "rank drops 3 -> 1" in res.report
 
 
+def _kernel_direction(rng: random.Random, basis) -> list[list[int]]:
+    """Symmetric D with X^T D X = 0: c (S_ij - S_kl) summed over m_i m_j = m_k m_l."""
+    n = len(basis)
+    by_product: dict = {}
+    for i in range(n):
+        for j in range(i, n):
+            by_product.setdefault(tuple(a + b for a, b in zip(basis[i], basis[j])), []).append((i, j))
+    d = [[0] * n for _ in range(n)]
+    for pairs in by_product.values():
+        for (i, j), (k, m) in zip(pairs, pairs[1:]):
+            c = rng.randint(-2, 2)
+            for (a, b), w in (((i, j), c), ((k, m), -c)):
+                if a == b:
+                    d[a][a] += 2 * w
+                else:
+                    d[a][b] += w
+                    d[b][a] += w
+    return d
+
+
+def test_gram_shrink_10x10_rational_boundary(tmp_path):
+    # G* = 4 A^T A has rank 9 and G(s) = G* + (s0 - s) D, so the line is
+    # PD on [0, s0) and drops rank at the rational s0
+    rng = random.Random(11)
+    basis = monomials(3, 3)
+    n, s0 = len(basis), Fraction(7, 2)
+    while True:
+        d = _kernel_direction(rng, basis)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
+        g_star = [[4 * sum(r[i] * r[j] for r in a) for j in range(n)] for i in range(n)]
+        g1 = [[g_star[i][j] + s0 * d[i][j] for j in range(n)] for i in range(n)]
+        if rank(g_star) == n - 1 and psd_check(SymMatrix.from_rows(g1)).rank == n:
+            break
+    g2 = [[g1[i][j] - d[i][j] for j in range(n)] for i in range(n)]
+    paths = []
+    for name, rows in (("g1", g1), ("g2", g2)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text("gram n=3 d=3\n" + "\n".join(" ".join(str(v) for v in row) for row in rows))
+        paths.append(str(path))
+    res = run(["gram", "shrink", "--g1", paths[0], "--g2", paths[1]])
+    assert res.exit_code == EXIT_OK
+    assert "boundary parameter s* = 7/2" in res.report
+    assert "rank drops 10 -> 9" in res.report
+
+
+def test_gram_extract_q_form_of_another_degree_is_an_input_error():
+    res = run(["gram", "extract-q", "--form", "x1^3", "--basis", "x1^2"])
+    assert res.exit_code == EXIT_INPUT
+    assert res.report.startswith("HeterogeneousDegrees: ")
+
+
 def test_gram_shrink_spans_differ(tmp_path):
     from ratsos.cli import format_gram
     from ratsos.gram import SosRep, gram_from_squares
@@ -230,6 +310,13 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "4  5  2  0  0"
+
+
+def test_enum_bound_must_be_positive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--enum-bound", "0", "groups", "classify", "--gens", "(1 2 3 4),(1 2)"])
+    assert exc.value.code == EXIT_INPUT
+    assert "argument --enum-bound: must be a positive integer, got '0'" in capsys.readouterr().err
 
 
 def test_bad_usage_exit_code():

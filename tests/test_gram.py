@@ -1,10 +1,13 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ratsos import gram
 from ratsos.errors import (
+    CheckFailed,
     EqualPoints,
     HeterogeneousDegrees,
     LinearlyDependent,
@@ -25,7 +28,7 @@ from ratsos.gram import (
     shrink_span,
     span_basis,
 )
-from ratsos.linalg import SymMatrix, psd_check
+from ratsos.linalg import PsdVerdict, SymMatrix, psd_check
 from ratsos.poly import Poly, monomials
 
 x1 = Poly.variable(1, 3)
@@ -184,6 +187,26 @@ def test_extract_qsos_fractional_weights():
     assert len(w.expanded) >= 3
 
 
+def test_extract_qsos_form_of_another_degree():
+    with pytest.raises(HeterogeneousDegrees):
+        extract_qsos(two_var("x1^3"), [two_var("x1^2")])
+    with pytest.raises(HeterogeneousDegrees):
+        extract_qsos(two_var("x1^4"), [two_var("x1^2"), two_var("x2")])
+
+
+def test_extract_qsos_failed_weighted_reconstruction_raises(monkeypatch):
+    true_terms = PsdVerdict.weighted_squares
+    monkeypatch.setattr(PsdVerdict, "weighted_squares", lambda v: [(2 * d, col) for d, col in true_terms(v)])
+    with pytest.raises(CheckFailed, match="weighted squares"):
+        extract_qsos(two_var("2*x1^4 + 3*x2^4"), [two_var("x1^2"), two_var("x2^2")])
+
+
+def test_extract_qsos_failed_four_square_expansion_raises(monkeypatch):
+    monkeypatch.setattr(gram, "four_squares", lambda w: (Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
+    with pytest.raises(CheckFailed, match="four-square"):
+        extract_qsos(two_var("2*x1^4 + 3*x2^4"), [two_var("x1^2"), two_var("x2^2")])
+
+
 def _family_gram(a: Fraction) -> GramPoint:
     # Gram family of (x1^2 + x2^2)^2 on basis (x1^2, x1x2, x2^2)
     a = Fraction(a)
@@ -205,6 +228,27 @@ def test_shrink_span_family():
     assert res.rank_before == 3 and res.rank_after == 1
     assert is_gram_point(res.boundary, f)
     assert span_basis(res.boundary) == [two_var("x1^2 + x2^2")]
+
+
+def test_shrink_span_boundary_of_another_form_raises(monkeypatch):
+    g1, g2 = _family_gram(0), _family_gram(Fraction(1, 2))
+    true_mu = gram.mu
+    monkeypatch.setattr(gram, "mu", lambda g: true_mu(g) if g in (g1, g2) else true_mu(g) + two_var("x1^4"))
+    with pytest.raises(CheckFailed, match="does not represent the form"):
+        shrink_span(g1, g2)
+
+
+def test_shrink_span_rank_that_does_not_drop_raises(monkeypatch):
+    g1, g2 = _family_gram(0), _family_gram(Fraction(1, 2))
+    true_psd_check = gram.psd_check
+
+    def full_rank(m):
+        verdict = true_psd_check(m)
+        return verdict if m in (g1.matrix, g2.matrix) else dataclasses.replace(verdict, rank=3)
+
+    monkeypatch.setattr(gram, "psd_check", full_rank)
+    with pytest.raises(CheckFailed, match="rank does not drop"):
+        shrink_span(g1, g2)
 
 
 def test_shrink_span_equal_points():

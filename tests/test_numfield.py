@@ -3,7 +3,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from ratsos import numfield
 from ratsos.errors import (
+    CheckFailed,
     DegreeTooSmall,
     GaloisDataMissing,
     NotMonic,
@@ -163,6 +165,16 @@ def test_quartic_galois_s4():
     assert qg.resolvent == U("t^3 - 4*t - 1")
     assert qg.discriminant == 229
     assert len(enumerate_group(qg.group)) == 24
+
+
+def test_quartic_galois_resolvent_with_two_rational_roots_raises(monkeypatch):
+    # 2 and 3 are not squares, so the reducibility screen passes them on
+    true_roots = numfield.rational_roots
+    monkeypatch.setattr(
+        numfield, "rational_roots", lambda p: [Fraction(2), Fraction(3)] if p.degree() == 3 else true_roots(p)
+    )
+    with pytest.raises(CheckFailed, match="2 rational roots"):
+        quartic_galois(U("t^4+t+1"))
 
 
 def test_quartic_galois_d4():

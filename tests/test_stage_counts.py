@@ -45,7 +45,7 @@ def _chain_counts(monkeypatch, argv):
     }
     assert run(argv).exit_code == EXIT_OK
     moment = boundary.moment_matrix(boundary.functional_from_tuple(boundary.demo_points(), boundary.demo_tuple()))
-    counts["moment psd_check"] = [args for args in counts.pop("psd_check") if args[0] == moment]
+    counts["moment psd_check"] = [args for args in counts["psd_check"] if args[0] == moment]
     return {name: len(calls) for name, calls in counts.items()}
 
 
@@ -63,6 +63,7 @@ def test_boundary_chain_runs_each_stage_once(monkeypatch, argv):
         "hilbert_function": 1,
         "extract_qsos": 1,
         "kernel_cubics": 1,
+        "psd_check": 3,  # moment matrix, kernel Gram matrix, membership witness
         "moment psd_check": 1,
     }
 
@@ -79,6 +80,7 @@ def test_boundary_certify_extracts_once(monkeypatch, witness):
         "hilbert_function": 0,
         "extract_qsos": 1,
         "kernel_cubics": 1,
+        "psd_check": 3,  # moment matrix, kernel Gram matrix, membership witness
         "moment psd_check": 1,
     }
 

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratsos.errors import ZeroPolynomial
-from ratsos.poly import UniPoly
+from ratsos.poly import UniPoly, primitive_vector
 from ratsos.sturm import (
+    _simple_roots_mod_prime,
     count_real_roots,
     isolate_real_roots,
     rational_roots,
@@ -63,6 +66,65 @@ def test_rational_roots():
     assert rational_roots(U("2*t^2 - t")) == [0, Fraction(1, 2)]
     assert rational_roots(U("t^3 - 8*t")) == [0]
     assert Fraction(-1, 3) in rational_roots(U("3*t^2 - 2*t - 1"))
+
+
+def divisors_of(n: int) -> list[int]:
+    small = [d for d in range(1, isqrt(abs(n)) + 1) if n % d == 0]
+    return small + [abs(n) // d for d in small]
+
+
+def _divisor_oracle(p: UniPoly) -> list[Fraction]:
+    """Rational root theorem by brute force: try every +-a/b with a | a0 and b | an."""
+    coeffs = [int(c) for c in primitive_vector(p.coeffs)]
+    roots = {Fraction(0)} if coeffs[0] == 0 else set()
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    for a in divisors_of(coeffs[0]):
+        for b in divisors_of(coeffs[-1]):
+            roots.update(r for r in (Fraction(a, b), Fraction(-a, b)) if p(r) == 0)
+    return sorted(roots)
+
+
+small_roots = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=6).filter(lambda cs: cs[-1] != 0),
+    st.lists(small_roots, max_size=4),
+    st.integers(0, 2),
+)
+def test_rational_roots_match_divisor_oracle(cofactor, planted, zero_roots):
+    p = UniPoly(cofactor) * UniPoly([0, 1]) ** zero_roots
+    for r in planted:  # repeats make p non-squarefree
+        p = p * UniPoly([-r, 1])
+    roots = rational_roots(p)
+    assert roots == _divisor_oracle(p)
+    assert set(planted) <= set(roots)
+
+
+def test_rational_roots_planted_in_large_coefficients():
+    rng = random.Random(43)
+    for _ in range(25):
+        planted = [
+            Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12)) for _ in range(rng.randint(1, 4))
+        ]
+        # t^4 + t + big > 0 everywhere, and t^2 + big2 > 0: no rational roots
+        big, big2 = rng.randint(10**30, 10**31), rng.randint(10**30, 10**31)
+        p = UniPoly([big, 1, 0, 0, 1]) * UniPoly([big2, 0, 1]) * rng.randint(2, 10**6)
+        for r in planted + planted[:1]:  # one planted root twice
+            p = p * UniPoly([-r.numerator, r.denominator])
+        assert max(len(str(abs(int(c)))) for c in p.coeffs) >= 30
+        assert rational_roots(p) == sorted(set(planted))
+
+
+def test_no_root_mod_p_proves_no_rational_root():
+    big = 2 * 10**40 + 1  # odd: t^2 + t + big has no root mod 2
+    assert _simple_roots_mod_prime([big, 1, 1], [1, 2]) == (2, [])
+    assert rational_roots(UniPoly([big, 1, 1])) == []
+    # a 41-digit root is lifted from its residue mod the first good prime
+    root = 10**40 + 7
+    assert rational_roots(UniPoly([-root, 1]) * UniPoly([big, 1, 1])) == [root]
 
 
 def _oracle_real_root_count(p: UniPoly) -> int:
