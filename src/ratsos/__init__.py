@@ -83,7 +83,7 @@ from .permgroup import (
     parse_catalog,
 )
 from .poly import Poly, UniPoly, monomials
-from .resultants import discriminant, resultant, resultant_rational
+from .resultants import discriminant, pencil_det, resultant, resultant_rational
 from .sturm import count_real_roots, isolate_real_roots, rational_roots
 
 __version__ = "0.1.0"

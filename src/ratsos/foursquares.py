@@ -9,7 +9,7 @@ prime machinery.
 from fractions import Fraction
 from math import isqrt
 
-from .errors import NonPositive
+from .errors import CheckFailed, NonPositive
 
 
 def _is_three_square_blocked(n: int) -> bool:
@@ -42,7 +42,8 @@ def four_squares_int(n: int) -> tuple[int, int, int, int]:
     if n < 0:
         raise NonPositive("need a nonnegative integer")
     parts = _descent(n, 4, isqrt(n))
-    assert parts is not None, "Lagrange decomposition failed"
+    if parts is None:
+        raise CheckFailed(f"the four-square descent found no decomposition of {n}")
     return tuple(parts)  # type: ignore[return-value]
 
 

@@ -28,7 +28,7 @@ from .errors import (
 from .foursquares import four_squares
 from .linalg import SymMatrix, lin_solve, psd_check, rref
 from .poly import Poly, UniPoly, monomials, primitive_vector
-from .resultants import det_ring
+from .resultants import pencil_det
 from .sturm import isolate_real_roots, rational_roots, refine_interval
 
 
@@ -306,10 +306,9 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
     q1 = restrict(g1)
     q2 = restrict(g2)
     r = len(pivots)
-    entries = [
-        [UniPoly([q1[i][j], q2[i][j] - q1[i][j]]) for j in range(r)] for i in range(r)
-    ]
-    det_poly = det_ring(entries, UniPoly())
+    diff = [[q2[i][j] - q1[i][j] for j in range(r)] for i in range(r)]
+    det_form = pencil_det([q1, diff])  # det(x1 Q1 + x2 (Q2 - Q1)); x1 = 1, x2 = s
+    det_poly = UniPoly([det_form.coefficient((r - e, e)) for e in range(r + 1)])
     if not det_poly or det_poly.degree() == 0:
         raise SpansDiffer("determinant of the restricted pencil is constant; no boundary on the line")
     intervals = isolate_real_roots(det_poly, lo=Fraction(1))

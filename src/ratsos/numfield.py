@@ -20,6 +20,7 @@ import mpmath
 from .errors import (
     CheckFailed,
     DegreeTooSmall,
+    DimensionMismatch,
     GaloisDataMissing,
     NotMonic,
     NotSquarefree,
@@ -32,7 +33,7 @@ from .errors import OrderExceeded
 from .intervals import Box, Interval, det3_box, eval_unipoly_box
 from .permgroup import GroupDesc, Perm, char_number, enumerate_group
 from .poly import Poly, UniPoly
-from .resultants import discriminant, resultant
+from .resultants import discriminant, pencil_det
 from .sturm import count_real_roots, rational_roots
 
 DEFAULT_PRECISION_BITS = 128
@@ -87,7 +88,8 @@ def _verified_upper_root(value: Fraction, k: int) -> Fraction:
     """A rational B with B^k >= value, via dyadic bracketing (value > 0)."""
     e = value.numerator.bit_length() - value.denominator.bit_length() + 1
     b = Fraction(2) ** -(-e // k)
-    assert b**k >= value
+    if b**k < value:
+        raise CheckFailed(f"dyadic bracket {b} of the {k}-th root of {value} is too small")
     for _ in range(8):  # sharpen; each halving is exactly verified
         half = b / 2
         if half**k >= value:
@@ -214,30 +216,31 @@ def _try_isolate(m: UniPoly, n_real: int, prec: int):
 # norm forms
 
 
-def _linear_form_coeff_polys(lin: tuple[UniPoly, ...]) -> list[Poly]:
-    """Coefficients of l(t; x) = sum_j lin_j(t) x_j as a polynomial in t."""
-    nvars = len(lin)
-    deg_t = max((c.degree() for c in lin if c), default=-1)
-    if deg_t < 0:
-        raise ZeroPolynomial("linear form is identically zero")
-    out = []
-    for k in range(deg_t + 1):
-        terms = {}
-        for j, c in enumerate(lin):
-            v = c[k]
-            if v:
-                exp = tuple(1 if i == j else 0 for i in range(nvars))
-                terms[exp] = v
-        out.append(Poly(nvars, terms))
-    return out
+def _multiplication_matrix(m: UniPoly, beta: UniPoly) -> list[list[Fraction]]:
+    """Matrix of multiplication by beta(alpha) on the basis 1, alpha, ..., alpha^(n-1).
+
+    Column i holds the coefficients of beta * t^i mod m (m monic).
+    """
+    n = m.degree()
+    col = (list((beta % m).coeffs) + [Fraction(0)] * n)[:n]
+    cols = []
+    for _ in range(n):
+        cols.append(col)
+        top = col[-1]  # t * col, with t^n replaced by t^n - m
+        col = [Fraction(0)] + col[:-1]
+        if top:
+            col = [c - top * a for c, a in zip(col, m.coeffs)]
+    return [list(row) for row in zip(*cols)]
 
 
 def norm_form(m: UniPoly, lin: tuple[UniPoly, ...] | None = None) -> Poly:
     """The norm of l = sum lin_j(alpha) x_j down to the rationals.
 
-    Computed as Res_t(m(t), l(t; x)); for monic squarefree m this is the
-    product of l over all conjugates of alpha, a form of degree deg(m) with
-    rational coefficients.
+    Computed as det(sum_j x_j M(lin_j(alpha))), the determinant of the
+    linear pencil of multiplication matrices; for monic squarefree m this
+    is the product of l over all conjugates of alpha (equal to
+    Res_t(m(t), l(t; x))), a form of degree deg(m) with rational
+    coefficients.  Coefficients of t-degree >= deg(m) are reduced mod m.
     """
     if not m or m.degree() < 1:
         raise ZeroPolynomial("need a nonconstant minimal polynomial")
@@ -247,9 +250,9 @@ def norm_form(m: UniPoly, lin: tuple[UniPoly, ...] | None = None) -> Poly:
         raise NotSquarefree("minimal polynomial has repeated roots")
     if lin is None:
         lin = canonical_linear_form()
-    b = _linear_form_coeff_polys(tuple(lin))
-    a = [Poly.constant(len(lin), c) for c in m.coeffs]
-    return resultant(a, b)
+    if not any(lin):
+        raise ZeroPolynomial("linear form is identically zero")
+    return pencil_det([_multiplication_matrix(m, beta) for beta in lin])
 
 
 @dataclass(frozen=True)
@@ -346,7 +349,7 @@ def general_position(
         lin = canonical_linear_form()
     lin = tuple(lin)
     if len(lin) != 3:
-        raise ValueError("general position applies to ternary linear forms")
+        raise DimensionMismatch(f"general position applies to ternary linear forms, got {len(lin)} entries")
     if lin == canonical_linear_form():
         return GeneralPosition.EXACT_VANDERMONDE
     if m.degree() < 3:

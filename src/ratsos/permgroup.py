@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
+    CheckFailed,
     HasFixedPoint,
     NotInGroup,
     NotInvolution,
@@ -338,7 +339,7 @@ def char_number(
     """Characteristic number c(G, X, t) for a fixed-point-free involution t.
 
     Computed as the closure of the pairs {z, tz} under the generators,
-    counting pairs through a base point; the count is asserted to be the
+    counting pairs through a base point; the count is checked to be the
     same at every base point.  Membership of t in the generated group is
     verified when the group is enumerable within ``bound``; otherwise it is
     trusted (callers surface an explicit "membership unverified" flag).
@@ -363,7 +364,8 @@ def char_number(
         counts[a] += 1
         counts[b] += 1
     c = counts[0]
-    assert all(k == c for k in counts), "characteristic number depends on the base point"
+    if any(k != c for k in counts):
+        raise CheckFailed(f"characteristic number depends on the base point: pair counts {counts}")
     return c
 
 

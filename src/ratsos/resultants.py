@@ -1,25 +1,139 @@
-"""Sylvester resultants with polynomial coefficients.
+"""Exact determinants: linear pencils, Sylvester resultants, discriminants.
 
-``resultant`` eliminates the auxiliary variable t from two polynomials in t
-whose coefficients are multivariate :class:`Poly`; for a monic minimal
-polynomial this equals the norm of the second argument, which is how the
-number-field norm forms are produced.  The determinant is expanded exactly
-by memoized minor expansion (no division needed -- works over any
-commutative ring), which is fine at desk scale.
+``pencil_det`` is the kernel behind the number-field norm forms and the Gram
+shrink line: det(x_1 A_1 + ... + x_k A_k) for square rational matrices is a
+form of degree n, recovered exactly from its values on an integer grid
+(each a fraction-free Bareiss determinant) by interpolation one variable at
+a time.  ``resultant_rational`` and ``discriminant`` eliminate over the
+rationals with the same determinant.
+
+``resultant`` keeps the Sylvester resultant with multivariate :class:`Poly`
+coefficients, expanded by ``det_ring``, a memoized Laplace expansion that is
+exponential in the matrix size.  No command-line path uses it; it stays as
+the general-ring reference.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import lcm
 from typing import Sequence
 
-from .errors import ZeroPolynomial
+from .errors import CheckFailed, DimensionMismatch, ZeroPolynomial
 from .poly import Poly, UniPoly
+
+
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix (Bareiss); ``m`` is overwritten."""
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, row_k = m[k][k], m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def _integer_scaled(mats: Sequence[Sequence[Sequence]]) -> tuple[list[list[list[int]]], int]:
+    """(D * A_j as integer matrices, D) for the least common denominator D."""
+    fracs = [[[Fraction(x) for x in row] for row in a] for a in mats]
+    den = lcm(*(x.denominator for a in fracs for row in a for x in row))
+    return [[[int(x * den) for x in row] for row in a] for a in fracs], den
+
+
+def _check_square(mats: Sequence[Sequence[Sequence]]) -> int:
+    if not mats:
+        raise DimensionMismatch("need at least one matrix")
+    n = len(mats[0])
+    if n == 0:
+        raise DimensionMismatch("empty matrix")
+    for a in mats:
+        if len(a) != n or any(len(row) != n for row in a):
+            raise DimensionMismatch(f"matrices must all be {n}x{n}")
+    return n
+
+
+def det_rational(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square rational matrix, exactly."""
+    n = _check_square([rows])
+    (m,), den = _integer_scaled([rows])
+    return Fraction(_bareiss_det(m), den**n)
+
+
+def _interpolate(values: Sequence) -> list[Fraction]:
+    """Coefficients (ascending) of the polynomial taking values[i] at i = 0, 1, ..."""
+    c = [Fraction(v) for v in values]
+    size = len(c)
+    for j in range(1, size):  # Newton divided differences; nodes i and i - j differ by j
+        for i in range(size - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / j
+    coeffs = [c[-1]]
+    for i in range(size - 2, -1, -1):  # Horner: coeffs * (y - i) + c[i]
+        shifted = [Fraction(0)] + coeffs
+        for d, a in enumerate(coeffs):
+            shifted[d] -= i * a
+        shifted[0] += c[i]
+        coeffs = shifted
+    return coeffs
+
+
+def pencil_det(mats: Sequence[Sequence[Sequence]]) -> Poly:
+    """det(x_1 A_1 + ... + x_k A_k) for square rational matrices A_j.
+
+    The determinant is a form of degree n in k variables, so its
+    dehomogenization p(y) = det(A_1 + y_2 A_2 + ... + y_k A_k) has degree
+    at most n in each y_j and is determined by its values on the grid
+    {0..n}^(k-1).  Each value is an integer Bareiss determinant (the A_j
+    are scaled by their common denominator); the coefficients come back
+    by interpolating one variable at a time, and x_1 restores the degree.
+    """
+    n = _check_square(mats)
+    scaled, den = _integer_scaled(mats)
+    k = len(scaled)
+    grid: dict[tuple[int, ...], Fraction] = {}
+    for point in product(range(n + 1), repeat=k - 1):
+        m = [list(row) for row in scaled[0]]
+        for y, a in zip(point, scaled[1:]):
+            if y:
+                for row, arow in zip(m, a):
+                    for j, v in enumerate(arow):
+                        row[j] += y * v
+        grid[point] = Fraction(_bareiss_det(m))
+    for axis in range(k - 1):  # values along this axis -> coefficients in y_axis
+        lines: dict[tuple[int, ...], list] = {}
+        for point, v in grid.items():
+            lines.setdefault(point[:axis] + point[axis + 1 :], [None] * (n + 1))[point[axis]] = v
+        grid = {}
+        for rest, values in lines.items():
+            for e, c in enumerate(_interpolate(values)):
+                grid[rest[:axis] + (e,) + rest[axis:]] = c
+    scale = Fraction(1, den**n)
+    terms = {}
+    for exp, c in grid.items():
+        if not c:
+            continue
+        if sum(exp) > n:
+            raise CheckFailed(f"interpolated pencil determinant has a term {exp} above degree {n}")
+        terms[(n - sum(exp),) + exp] = c * scale
+    return Poly(k, terms)
 
 
 def det_ring(rows: list[list], zero):
     """Determinant over a commutative ring via memoized Laplace expansion.
 
     Entries need ``+``, ``*``, unary ``-`` and truthiness (zero is falsy).
-    Exponential in the matrix size; intended for small elimination matrices.
+    Exponential in the matrix size (2^n minors), so it is a reference for
+    small matrices over general rings; rational matrices and linear pencils
+    go through ``det_rational`` and ``pencil_det``.
     """
     n = len(rows)
     for row in rows:
@@ -83,7 +197,8 @@ def resultant(a: Sequence[Poly], b: Sequence[Poly]) -> Poly:
 
     Equals the determinant of the Sylvester matrix, expanded exactly.  When
     A is monic with constant (rational) coefficients this is the product of
-    B evaluated at all roots of A, i.e. the norm form.
+    B evaluated at all roots of A, i.e. the norm form (which
+    ``numfield.norm_form`` computes as a pencil determinant instead).
     """
     a = list(a)
     b = list(b)
@@ -120,7 +235,7 @@ def resultant_rational(a: UniPoly, b: UniPoly) -> Fraction:
         return a.coeffs[0] ** n
     if n == 0:
         return b.coeffs[0] ** m
-    return det_ring(sylvester_matrix(a.coeffs, b.coeffs, Fraction(0)), Fraction(0))
+    return det_rational(sylvester_matrix(a.coeffs, b.coeffs, Fraction(0)))
 
 
 def discriminant(p: UniPoly) -> Fraction:

@@ -80,6 +80,12 @@ def test_field_obstruct_zero_denominator_is_an_input_error():
     assert res.report == "ParseError: bad rational '1/0'"
 
 
+def test_field_obstruct_binary_linform_is_an_input_error():
+    res = run(["field", "obstruct", "--minpoly", "t^4+t+1", "--linform", "1;t"])
+    assert res.exit_code == EXIT_INPUT
+    assert res.report == "DimensionMismatch: general position applies to ternary linear forms, got 2 entries"
+
+
 def test_field_galois_failed_check_is_inconclusive(monkeypatch):
     true_roots = numfield.rational_roots
     monkeypatch.setattr(

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ratsos.errors import NonPositive
+from ratsos import foursquares
+from ratsos.errors import CheckFailed, NonPositive
 from ratsos.foursquares import four_squares, four_squares_int
 
 
@@ -18,6 +19,12 @@ def test_non_positive():
         four_squares(0)
     with pytest.raises(NonPositive):
         four_squares(Fraction(-1, 2))
+
+
+def test_failed_descent_raises(monkeypatch):
+    monkeypatch.setattr(foursquares, "_descent", lambda n, parts, bound: None)
+    with pytest.raises(CheckFailed, match="no decomposition of 7"):
+        four_squares_int(7)
 
 
 def test_integer_descent_small():

@@ -35,6 +35,30 @@ CASES = {
         for d in (4, 6, 8)
         for suffix, flags in (("", []), ("-json", ["--json"]))
     },
+    **{
+        f"field-normform-{n}": ["field", "normform", f"--minpoly={m}", f"--linform={lin}"]
+        for n, m, lin in (
+            (4, "t^4-2*t^3+3*t^2+t+2", "1-2*t+t^2+3*t^3; 2+t-3*t^2-t^3"),
+            (5, "t^5+t^4-2*t^3+3*t^2-t+1", "3+t-2*t^2+t^3-t^4; -1+2*t+t^2-3*t^3+2*t^4"),
+            (6, "t^6+2*t^5-t^4+3*t^3-2*t^2+t+3", "1+t+2*t^2-t^3+3*t^4-2*t^5; -2+3*t-t^2+t^3+t^4+2*t^5"),
+            (7, "t^7-t^6+2*t^5+3*t^4-t^3+2*t^2-3*t+1",
+             "2-t+t^2+3*t^3-2*t^4+t^5-t^6; 1+3*t-2*t^2-t^3+t^4+2*t^5+3*t^6"),
+            (8, "t^8+t^7-2*t^6+t^5+3*t^4-t^3+2*t^2+t+1",
+             "1-t+2*t^2+t^3-3*t^4+2*t^5+t^6-t^7; 3+2*t-t^2+t^3+2*t^4-t^5-2*t^6+t^7"),
+        )
+    },
+    "field-normform-canonical-4": ["field", "normform", "--minpoly=t^4+t+1"],
+    "field-normform-canonical-6": ["field", "normform", "--minpoly=t^6+t+1"],
+    # a coefficient of t-degree >= n is reduced modulo the minimal polynomial
+    "field-normform-high-degree": ["field", "normform", "--minpoly=t^4+t+1", "--linform=t^5-2*t; 3+t^4"],
+    "field-galois-quartic": ["field", "galois", "--minpoly=t^4+t+1"],
+    "field-obstruct-quartic": ["field", "obstruct", "--minpoly=t^4+t+1"],
+    **{
+        f"gram-shrink-{kind}": [
+            "gram", "shrink", "--g1", _data(f"shrink-{kind}-g1.txt"), "--g2", _data(f"shrink-{kind}-g2.txt"),
+        ]
+        for kind in ("rational", "generic")  # 10x10 lines; s* = 5/3, and an irrational s*
+    },
     "groups-classify-d4": ["groups", "classify", "--gens", "(1 2 3 4),(1 3)"],
     "groups-classify-s6": ["groups", "classify", "--gens", "(1 2 3 4 5 6),(1 2)", "--label", "S6"],
     "groups-char-number-d4": ["groups", "char-number", "--gens", "(1 2 3 4),(1 3)", "--inv", "(1 2)(3 4)"],

@@ -1,7 +1,10 @@
+import random
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ratsos import numfield
 from ratsos.errors import (
@@ -12,6 +15,7 @@ from ratsos.errors import (
     NotSquarefree,
     NotTotallyImaginary,
     Reducible,
+    ZeroPolynomial,
 )
 from ratsos.numfield import (
     Conclusion,
@@ -27,6 +31,7 @@ from ratsos.numfield import (
 )
 from ratsos.permgroup import GroupDesc, Perm, enumerate_group
 from ratsos.poly import Poly, UniPoly
+from ratsos.resultants import resultant
 
 U = UniPoly.parse
 x1 = Poly.variable(1, 3)
@@ -126,6 +131,85 @@ def test_norm_form_numeric_oracle_random():
                 for e in set(prod) | set(f.terms)
             )
             assert residual < mpmath.mpf(10) ** -20
+
+
+def test_norm_form_zero_linear_form():
+    with pytest.raises(ZeroPolynomial):
+        norm_form(U("t^2+1"), (UniPoly(), UniPoly()))
+
+
+def test_norm_form_reduces_high_degree_coefficients():
+    # t^4 = -t - 1 in Q[t]/(t^4+t+1), so t^5 - 2t and -t^2 - 3t name the same element
+    m = U("t^4+t+1")
+    high = norm_form(m, (U("t^5-2*t"), U("3+t^4")))
+    low = norm_form(m, (U("-t^2-3*t"), U("2-t")))
+    assert high == low
+    assert high == resultant([Fraction(c) for c in m.coeffs], _linear_form_coeffs((U("t^5-2*t"), U("3+t^4"))))
+
+
+def _linear_form_coeffs(lin):
+    """l(t; x) = sum_j lin_j(t) x_j as Poly coefficients in t, for the Sylvester oracle."""
+    nvars = len(lin)
+    deg = max(c.degree() for c in lin)
+    return [
+        Poly(nvars, {tuple(int(i == j) for i in range(nvars)): c[k] for j, c in enumerate(lin)})
+        for k in range(deg + 1)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+            st.lists(
+                st.lists(st.fractions(-3, 3, max_denominator=3), min_size=1, max_size=n + 2),
+                min_size=1,
+                max_size=3,
+            ),
+        )
+    )
+)
+def test_norm_form_equals_sylvester_resultant(data):
+    # the Sylvester/Laplace resultant is the oracle for the pencil determinant;
+    # lin coefficients reach t-degree n + 1, beyond the reduction modulo m
+    low, lin_coeffs = data
+    m = UniPoly(low + [1])
+    assume(m.is_squarefree())
+    lin = tuple(UniPoly(c) for c in lin_coeffs)
+    assume(any(lin))
+    nvars = len(lin)
+    oracle = resultant([Poly.constant(nvars, c) for c in m.coeffs], _linear_form_coeffs(lin))
+    assert norm_form(m, lin) == oracle
+
+
+def test_norm_form_degree_10_binary_against_conjugates():
+    rng = random.Random(10)
+    n = 10
+    while True:
+        m = UniPoly([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)] + [1])
+        if m.is_squarefree():
+            break
+    lin = tuple(UniPoly([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]) for _ in range(2))
+    start = time.perf_counter()
+    f = norm_form(m, lin)
+    assert time.perf_counter() - start < 1.0
+    assert f.is_homogeneous() and f.degree() == n
+    with mpmath.workdps(80):
+        roots = mpmath.polyroots([int(c) for c in reversed(m.coeffs)], maxsteps=400, extraprec=400)
+        for x in ((1, 0), (0, 1), (2, -3), (-1, 4)):
+            prod = mpmath.mpc(1)
+            for a in roots:
+                prod *= sum(mpmath.polyval([int(c) for c in reversed(e.coeffs)], a) * xj for e, xj in zip(lin, x))
+            assert f.evaluate(x) == int(mpmath.nint(prod.real))
+            assert abs(prod.imag) < 1e-30
+
+
+def test_verified_upper_root_failed_bracket_raises(monkeypatch):
+    # a bracketing start of 1 in place of 2^ceil(e/k) is below the root of 100
+    monkeypatch.setattr(numfield, "Fraction", lambda *args: Fraction(1))
+    with pytest.raises(CheckFailed, match="too small"):
+        numfield._verified_upper_root(Fraction(100), 2)
 
 
 def test_real_sos2_witness_gaussian():

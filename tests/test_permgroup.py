@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from ratsos.errors import HasFixedPoint, NotInGroup, NotInvolution, OrderExceeded, ParseError
+from ratsos import permgroup
+from ratsos.errors import CheckFailed, HasFixedPoint, NotInGroup, NotInvolution, OrderExceeded, ParseError
 from ratsos.permgroup import (
     GroupDesc,
     Perm,
@@ -118,6 +119,13 @@ def test_char_number_errors():
         char_number(S4, Perm.parse("(1 2)", 4))
     with pytest.raises(NotInGroup):
         char_number(G("(1 2)(3 4)"), Perm.parse("(1 3)(2 4)"))
+
+
+def test_char_number_base_point_dependence_raises(monkeypatch):
+    # a pair closure that is not the orbit of {z, tz}: point 1 lies on two pairs, point 4 on none
+    monkeypatch.setattr(permgroup, "_pair_closure", lambda group, t: [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(CheckFailed, match="depends on the base point"):
+        char_number(D4, Perm.parse("(1 2)(3 4)"))
 
 
 def test_char_number_invariants():

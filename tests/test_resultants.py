@@ -1,12 +1,24 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from ratsos.errors import ZeroPolynomial
+from ratsos import gram, resultants
+from ratsos.cli import _parse_gram_file
+from ratsos.errors import CheckFailed, DimensionMismatch, ZeroPolynomial
 from ratsos.poly import Poly, UniPoly
-from ratsos.resultants import det_ring, discriminant, resultant, resultant_rational
+from ratsos.resultants import (
+    det_rational,
+    det_ring,
+    discriminant,
+    pencil_det,
+    resultant,
+    resultant_rational,
+)
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 x1 = Poly.variable(1, 3)
 x2 = Poly.variable(2, 3)
@@ -109,3 +121,62 @@ def test_resultant_rational_and_discriminant():
         assert discriminant(m) == p * p - 4 * q
     r = resultant_rational(UniPoly.parse("t^2-1"), UniPoly.parse("t-2"))
     assert r == 3  # (2^2 - 1) with monic first argument
+
+
+def _random_matrix(rng: random.Random, n: int) -> list[list[Fraction]]:
+    return [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+
+
+def test_det_rational_against_det_ring():
+    assert det_rational([[0, 1], [1, 0]]) == -1  # needs a row swap
+    assert det_rational([[1, 2], [2, 4]]) == 0
+    assert det_rational([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]) == Fraction(1, 3)
+    rng = random.Random(3)
+    for _ in range(30):
+        rows = _random_matrix(rng, rng.randint(1, 6))
+        if rng.random() < 0.3:
+            rows[-1] = list(rows[0])  # singular
+        assert det_rational(rows) == det_ring(rows, Fraction(0))
+
+
+def test_pencil_det_against_det_ring():
+    rng = random.Random(5)
+    for _ in range(25):
+        n, k = rng.randint(1, 4), rng.randint(1, 3)
+        mats = [_random_matrix(rng, n) for _ in range(k)]
+        if rng.random() < 0.3:
+            mats[0] = [[Fraction(0)] * n for _ in range(n)]  # x1 drops out of some terms
+        xs = [Poly.variable(j + 1, k) for j in range(k)]
+        entries = [[sum((x * a[i][c] for x, a in zip(xs, mats)), Poly.zero(k)) for c in range(n)] for i in range(n)]
+        f = pencil_det(mats)
+        assert f == det_ring(entries, Poly.zero(k))
+        assert not f or (f.is_homogeneous() and f.degree() == n)
+
+
+def test_pencil_det_rejects_mismatched_shapes():
+    with pytest.raises(DimensionMismatch):
+        pencil_det([])
+    with pytest.raises(DimensionMismatch):
+        pencil_det([[[1, 2]]])
+    with pytest.raises(DimensionMismatch):
+        pencil_det([[[1]], [[1, 0], [0, 1]]])
+
+
+def test_pencil_det_values_of_too_high_degree_raise(monkeypatch):
+    # squared 1x1 "determinants" (y2 + y3)^2 interpolate to y2 + 2 y2 y3 + y3 on {0, 1}^2
+    monkeypatch.setattr(resultants, "_bareiss_det", lambda m: m[0][0] ** 2)
+    with pytest.raises(CheckFailed, match="above degree 1"):
+        pencil_det([[[0]], [[1]], [[1]]])
+
+
+def test_shrink_pencil_10x10_matches_det_ring(monkeypatch):
+    g1, g2 = (_parse_gram_file((GOLDEN / f"shrink-rational-{k}.txt").read_text()) for k in ("g1", "g2"))
+    seen = []
+    true_rational_roots = gram.rational_roots
+    monkeypatch.setattr(gram, "rational_roots", lambda p: seen.append(p) or true_rational_roots(p))
+    assert gram.shrink_span(g1, g2).s_exact == Fraction(5, 3)
+    # both points are positive definite, so the pencil is the full 10x10 line
+    q1, q2 = g1.matrix.to_lists(), g2.matrix.to_lists()
+    entries = [[UniPoly([q1[i][j], q2[i][j] - q1[i][j]]) for j in range(10)] for i in range(10)]
+    assert seen == [det_ring(entries, UniPoly())]
+    assert seen[0].degree() == 10

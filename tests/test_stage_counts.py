@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from ratsos import boundary, gram, linalg, permgroup
-from ratsos.cli import EXIT_OK, run
+from ratsos import boundary, gram, linalg, permgroup, resultants
+from ratsos.cli import EXIT_INCONCLUSIVE, EXIT_OK, run
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -103,3 +103,23 @@ def test_boundary_demo_checks_the_hilbert_function_it_computed(monkeypatch):
     res = run(["boundary", "demo"])
     assert res.report.endswith("expected-value check FAILED")
     assert "Hilbert function of A/(U): (1, 3, 6, 7, 6, 3, 2, 0)" in res.report
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["field", "normform", "--minpoly", "t^6+t+1"], EXIT_OK),
+        (["field", "normform", "--minpoly", "t^5+t^4-2*t^3+3*t^2-t+1", "--linform", "3+t-2*t^2; t^6-1"], EXIT_OK),
+        (["field", "obstruct", "--minpoly", "t^4+t+1"], EXIT_OK),
+        (["gram", "shrink", "--g1", str(GOLDEN / "shrink-rational-g1.txt"),
+          "--g2", str(GOLDEN / "shrink-rational-g2.txt")], EXIT_OK),
+        (["gram", "shrink", "--g1", str(GOLDEN / "shrink-generic-g1.txt"),
+          "--g2", str(GOLDEN / "shrink-generic-g2.txt")], EXIT_INCONCLUSIVE),
+    ],
+    ids=["normform-canonical", "normform-linform", "obstruct-quartic", "shrink-rational", "shrink-generic"],
+)
+def test_determinants_avoid_the_laplace_expansion(monkeypatch, argv, exit_code):
+    laplace = count_calls(monkeypatch, resultants, "det_ring")
+    sylvester = count_calls(monkeypatch, resultants, "resultant")
+    assert run(argv).exit_code == exit_code
+    assert (len(laplace), len(sylvester)) == (0, 0)
