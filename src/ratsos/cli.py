@@ -174,12 +174,8 @@ def cmd_field(args) -> CommandResult:
         galois = None
         if args.galois_gens:
             gens = parse_generators(args.galois_gens, m.degree())
-            rs = nf.isolate_roots(m, args.precision_bits)
-            galois = nf.GaloisData(
-                group=GroupDesc(m.degree(), gens, args.galois_label or "user"),
-                tau=rs.pairing,
-                label=args.galois_label or "user",
-            )
+            label = args.galois_label or "user"
+            galois = nf.GaloisData(group=GroupDesc(m.degree(), gens, label), label=label)
         cert = nf.obstruction_check(
             m,
             lin,

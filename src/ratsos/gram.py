@@ -131,7 +131,11 @@ def span_basis(point: GramPoint) -> list[Poly]:
     verdict = psd_check(point.matrix)
     if not verdict.is_psd:
         raise NotPsd("span basis of a non-PSD Gram matrix is not meaningful here")
-    reduced, _ = rref(point.matrix.to_lists())
+    return _echelon_forms(point, rref(point.matrix.to_lists())[0])
+
+
+def _echelon_forms(point: GramPoint, reduced) -> list[Poly]:
+    """Reduced echelon rows of ``point`` scaled to primitive integer forms."""
     basis = point.basis()
     return [
         Poly.from_coeff_vector(point.nvars, basis, primitive_vector(row)) for row in reduced
@@ -291,12 +295,12 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
     v1, v2 = psd_check(g1.matrix), psd_check(g2.matrix)
     if not (v1.is_psd and v2.is_psd):
         raise NotPsd("both inputs must be PSD Gram points")
-    b1, b2 = span_basis(g1), span_basis(g2)
-    if b1 != b2:
+    # the reduced echelon form is canonical: equal exactly when the spans are
+    reduced, pivots = rref(g1.matrix.to_lists())
+    reduced2, _ = rref(g2.matrix.to_lists())
+    if reduced != reduced2:
+        b1, b2 = _echelon_forms(g1, reduced), _echelon_forms(g2, reduced2)
         raise SpansDiffer(f"span bases differ: {[str(p) for p in b1]} vs {[str(p) for p in b2]}")
-    basis = g1.basis()
-    rows = [p.coeff_vector(basis) for p in b1]
-    reduced, pivots = rref(rows)
     # restricted coordinates: with B in reduced echelon form, any symmetric G
     # with column space inside the row span of B satisfies G = B^T G[J,J] B
     # where J is the pivot column set
@@ -323,7 +327,7 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
     q_star = [
         [q1[i][j] + exact * (q2[i][j] - q1[i][j]) for j in range(r)] for i in range(r)
     ]
-    n = len(basis)
+    n = g1.matrix.size
     full = [[Fraction(0)] * n for _ in range(n)]
     for a in range(r):
         for b in range(r):

@@ -51,14 +51,18 @@ def canonical_linear_form() -> tuple[UniPoly, UniPoly, UniPoly]:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Certified complex roots: disjoint rational boxes, one root each.
+    """Certified complex roots of ``minpoly``: disjoint rational boxes, one root each.
 
     ``pairing`` is the complex-conjugation permutation on box indices (real
     roots are its fixed points); when the polynomial is totally imaginary it
     is a fixed-point-free involution.  ``approx`` carries high-precision
     approximations aligned with the boxes (not part of the certificate).
+    One root system is isolated per minimal polynomial and handed to every
+    stage that needs its roots; a stage whose boxes are too wide asks for
+    ``refined()``.
     """
 
+    minpoly: UniPoly
     boxes: tuple[Box, ...]
     pairing: Perm
     totally_imaginary: bool
@@ -68,6 +72,13 @@ class RootSystem:
     @property
     def degree(self) -> int:
         return len(self.boxes)
+
+    def refined(self) -> "RootSystem":
+        """The same roots isolated again at twice the precision.
+
+        Raises PrecisionExhausted past PRECISION_CAP_BITS.
+        """
+        return isolate_roots(self.minpoly, 2 * self.precision_bits)
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -135,13 +146,13 @@ def isolate_roots(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> R
     if not m.is_squarefree():
         raise NotSquarefree("polynomial has repeated roots")
     n_real = count_real_roots(m)
-    n = m.degree()
     prec = max(precision_bits, 53)
     while prec <= PRECISION_CAP_BITS:
         result = _try_isolate(m, n_real, prec)
         if result is not None:
             boxes, pairing_images, approx = result
             return RootSystem(
+                minpoly=m,
                 boxes=tuple(boxes),
                 pairing=Perm(pairing_images),
                 totally_imaginary=(n_real == 0),
@@ -276,12 +287,12 @@ def real_sos2_witness(
     plane; the residual is the largest coefficient error of
     f - (g_re^2 + g_im^2) against the exact norm form.
     """
-    if count_real_roots(m) != 0:
-        raise NotTotallyImaginary(f"{m} has {count_real_roots(m)} real roots")
+    rs = isolate_roots(m, precision_bits)
+    if not rs.totally_imaginary:
+        raise NotTotallyImaginary(f"{m} has {len(rs.pairing.fixed_points())} real roots")
     if lin is None:
         lin = canonical_linear_form()
     lin = tuple(lin)
-    rs = isolate_roots(m, precision_bits)
     f = norm_form(m, lin)
     nvars = len(lin)
     with mpmath.workprec(rs.precision_bits):
@@ -331,47 +342,33 @@ class GeneralPosition(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def general_position(
-    m: UniPoly,
-    lin: tuple[UniPoly, ...] | None = None,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> GeneralPosition:
+def general_position(roots: RootSystem, lin: tuple[UniPoly, ...] | None = None) -> GeneralPosition:
     """Certify that no three conjugates of l share a nontrivial complex zero.
 
-    For the canonical l = x1 + a x2 + a^2 x3 the 3x3 coefficient minors are
-    Vandermonde determinants in distinct roots, nonzero by squarefreeness:
-    exact verdict.  Otherwise every triple determinant is evaluated in
-    rational interval arithmetic, refining until all exclude zero.
+    ``roots`` is the isolated root system of the (squarefree) minimal
+    polynomial.  For the canonical l = x1 + a x2 + a^2 x3 the 3x3
+    coefficient minors are Vandermonde determinants in distinct roots,
+    nonzero by squarefreeness: exact verdict.  Otherwise every triple
+    determinant is evaluated in rational interval arithmetic over the
+    given boxes, refining the root system until all exclude zero, and
+    Inconclusive once refinement passes the precision cap.
     """
-    if not m.is_squarefree():
-        raise NotSquarefree("minimal polynomial has repeated roots")
     if lin is None:
         lin = canonical_linear_form()
     lin = tuple(lin)
     if len(lin) != 3:
         raise DimensionMismatch(f"general position applies to ternary linear forms, got {len(lin)} entries")
-    if lin == canonical_linear_form():
+    if lin == canonical_linear_form() or roots.degree < 3:  # Vandermonde, or no triple
         return GeneralPosition.EXACT_VANDERMONDE
-    if m.degree() < 3:
-        # fewer than three conjugates: nothing to check
-        return GeneralPosition.EXACT_VANDERMONDE
-    prec = max(precision_bits, 53)
-    while prec <= PRECISION_CAP_BITS:
+    while True:
+        rows = [[eval_unipoly_box(c.coeffs, box) for c in lin] for box in roots.boxes]
+        if all(det3_box([rows[i], rows[j], rows[k]]).excludes_zero()
+               for i, j, k in combinations(range(len(rows)), 3)):
+            return GeneralPosition.NUMERIC_CERTIFIED
         try:
-            rs = isolate_roots(m, prec)
+            roots = roots.refined()
         except PrecisionExhausted:
             return GeneralPosition.INCONCLUSIVE
-        rows = [[eval_unipoly_box(c.coeffs, box) for c in lin] for box in rs.boxes]
-        all_ok = True
-        for i, j, k in combinations(range(len(rows)), 3):
-            det = det3_box([rows[i], rows[j], rows[k]])
-            if not det.excludes_zero():
-                all_ok = False
-                break
-        if all_ok:
-            return GeneralPosition.NUMERIC_CERTIFIED
-        prec *= 2
-    return GeneralPosition.INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +377,13 @@ def general_position(
 
 @dataclass(frozen=True)
 class GaloisData:
-    """Galois action on root indices plus the conjugation involution."""
+    """Galois action on the root indices of ``isolate_roots(m)``.
+
+    The conjugation involution tau is not part of it: the obstruction
+    always reads tau off the certified pairing of that root system.
+    """
 
     group: GroupDesc
-    tau: Perm
     label: str = ""
 
 
@@ -478,7 +478,7 @@ def quartic_galois(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
     e2 = y0 * y0 - 4 * r
     is_c4 = (e1 != 0 and _is_rational_square(e1 * disc)) or (e2 != 0 and _is_rational_square(e2 * disc))
     label = "C4" if is_c4 else "D4"
-    pairing = _identify_pairing(m, rs, y0, precision_bits)
+    pairing = _identify_pairing(rs, y0)
     (a, b), (c, d) = pairing
     if label == "D4":
         gens = (
@@ -491,15 +491,12 @@ def quartic_galois(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
     return QuarticGalois(label, group, rs, resolvent, disc)
 
 
-def _identify_pairing(m: UniPoly, rs: RootSystem, y0: Fraction, precision_bits: int):
+def _identify_pairing(rs: RootSystem, y0: Fraction):
     """Which root pairing {{a,b},{c,d}} has b_a b_b + b_c b_d = y0 (depressed roots)."""
-    shift, *_ = _depress_quartic(m)
+    shift_box = Box.point(_depress_quartic(rs.minpoly)[0])
     pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
-    prec = max(precision_bits, 53)
-    current = rs
-    while prec <= PRECISION_CAP_BITS:
-        shift_box = Box.point(shift)
-        depressed = [b + shift_box for b in current.boxes]
+    while True:
+        depressed = [b + shift_box for b in rs.boxes]
         hits = []
         for pairing in pairings:
             (a, b), (c, d) = pairing
@@ -508,9 +505,10 @@ def _identify_pairing(m: UniPoly, rs: RootSystem, y0: Fraction, precision_bits: 
                 hits.append(pairing)
         if len(hits) == 1:
             return hits[0]
-        prec *= 2
-        current = isolate_roots(m, prec)
-    raise PrecisionExhausted("could not separate the resolvent pairings")
+        try:
+            rs = rs.refined()
+        except PrecisionExhausted:
+            raise PrecisionExhausted("could not separate the resolvent pairings") from None
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +583,11 @@ def obstruction_check(
     """Run the full norm-form obstruction pipeline.
 
     Degree-4 inputs derive their Galois data automatically; higher degrees
-    require it as input.  The certificate is monotone: an inconclusive or
-    failing check always yields NO_OBSTRUCTION with the check named.
+    require it as input.  The roots of m are isolated once (by
+    ``quartic_galois`` or here): tau is their certified conjugation
+    pairing, and the same boxes feed general position.  The certificate is
+    monotone: an inconclusive or failing check always yields NO_OBSTRUCTION
+    with the check named.
     """
     if not m or m.degree() < 4:
         raise DegreeTooSmall(f"need degree 2d >= 4, got {m.degree() if m else 'zero polynomial'}")
@@ -633,18 +634,12 @@ def obstruction_check(
             checks.append(CheckRecord("irreducible", "fail", str(exc)))
             return bail()
         checks.append(CheckRecord("irreducible", "pass", "quartic screens"))
-        group = qg.group
-        rs = qg.roots
-        tau = rs.pairing
-        label = qg.label
+        group, rs, label = qg.group, qg.roots, qg.label
     else:
         group = galois.group
         label = galois.label or group.label
         rs = isolate_roots(m, precision_bits)
-        tau = galois.tau
-        if not rs.pairing.is_fixed_point_free() or not rs.pairing.is_involution():
-            checks.append(CheckRecord("conjugation", "fail", "root pairing not a fpf involution"))
-            return bail()
+    tau = rs.pairing
 
     if not tau.is_involution() or not tau.is_fixed_point_free():
         checks.append(CheckRecord("tau fpf involution", "fail", str(tau)))
@@ -668,7 +663,7 @@ def obstruction_check(
             CheckRecord("tau in group", "inconclusive", f"group not enumerable within {enum_bound}")
         )
 
-    gp = general_position(m, lin, precision_bits)
+    gp = general_position(rs, lin)
     if gp is GeneralPosition.INCONCLUSIVE:
         checks.append(CheckRecord("general position", "inconclusive", "interval refinement capped"))
         return bail(

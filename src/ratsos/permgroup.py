@@ -19,6 +19,7 @@ from .errors import (
     NotInvolution,
     OrderExceeded,
     ParseError,
+    RatsosError,
 )
 
 DEFAULT_ENUM_BOUND = 10**6
@@ -479,7 +480,8 @@ def classify_catalog(
     Column semantics: (1) has an fpf involution; (2) additionally
     2-transitive; (3) satisfies (*) for some fpf involution but is not
     2-transitive; (4) satisfies (**) for some fpf involution but (*) for
-    none.  Per-entry failures are reported, not raised.
+    none.  A toolkit error for one entry (a group past the enumeration
+    bound) is reported as a failed row; any other exception propagates.
     """
     entries = [g for g in catalog if degree is None or g.degree == degree]
     if not entries:
@@ -493,7 +495,7 @@ def classify_catalog(
     for g in entries:
         try:
             a = classify(g, bound)
-        except Exception as exc:  # aggregate, don't abort the table
+        except RatsosError as exc:  # aggregate, don't abort the table
             failures.append((g.label, str(exc)))
             continue
         if a.has_fpf_involution:

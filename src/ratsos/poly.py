@@ -32,6 +32,37 @@ _COEFF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
+def _parse_terms(text: str, factor_re: re.Pattern) -> list[tuple[Fraction, list[re.Match]]]:
+    """The terms of the text grammar as (signed coefficient, factor matches).
+
+    Terms are joined by ``+``/``-``; a term is an optional coefficient,
+    which comes first and at most once, then ``*``-joined factors, each
+    matching ``factor_re``.  Spaces and tabs are ignored.
+    """
+    s = text.replace(" ", "").replace("\t", "")
+    if not s:
+        raise ParseError("empty polynomial text")
+    raw_terms = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(raw_terms) != s:
+        raise ParseError(f"cannot tokenize {text!r}")
+    terms = []
+    for raw in raw_terms:
+        parts = raw.lstrip("+-").split("*")
+        coeff = Fraction(-1 if raw[0] == "-" else 1)
+        if _COEFF_RE.match(parts[0]):
+            coeff *= parse_rational(parts.pop(0))
+        factors = []
+        for part in parts:
+            m = factor_re.match(part)
+            if m is None:
+                if _COEFF_RE.match(part):
+                    raise ParseError(f"misplaced coefficient in term {raw!r}")
+                raise ParseError(f"cannot parse factor {part!r} in {text!r}")
+            factors.append(m)
+        terms.append((coeff, factors))
+    return terms
+
+
 @lru_cache(maxsize=None)
 def monomials(nvars: int, degree: int) -> tuple[Exp, ...]:
     """All exponent vectors of the given total degree, graded-lex descending."""
@@ -110,48 +141,16 @@ class Poly:
     @classmethod
     def parse(cls, text: str, nvars: int | None = None) -> "Poly":
         """Parse the polynomial grammar; infers the variable count unless given."""
-        s = text.replace(" ", "").replace("\t", "")
-        if not s:
-            raise ParseError("empty polynomial text")
-        raw_terms = re.findall(r"[+-]?[^+-]+", s)
-        if "".join(raw_terms) != s:
-            raise ParseError(f"cannot tokenize {text!r}")
         parsed: list[tuple[Fraction, dict[int, int]]] = []
         max_var = 0
-        for raw in raw_terms:
-            sign = Fraction(1)
-            body = raw
-            if body[0] in "+-":
-                if body[0] == "-":
-                    sign = Fraction(-1)
-                body = body[1:]
-            if not body:
-                raise ParseError(f"dangling sign in {text!r}")
-            coeff = sign
+        for coeff, factors in _parse_terms(text, _VAR_RE):
             powers: dict[int, int] = {}
-            saw_monomial = False
-            saw_coeff = False
-            for part in body.split("*"):
-                m = _COEFF_RE.match(part)
-                if m:
-                    if saw_coeff or saw_monomial:
-                        raise ParseError(f"misplaced coefficient in term {raw!r}")
-                    coeff *= parse_rational(part)
-                    saw_coeff = True
-                    continue
-                m = _VAR_RE.match(part)
-                if m:
-                    idx = int(m.group(1))
-                    if idx < 1:
-                        raise ParseError(f"variable index must be >= 1 in {part!r}")
-                    e = int(m.group(2)) if m.group(2) else 1
-                    powers[idx] = powers.get(idx, 0) + e
-                    saw_monomial = True
-                    max_var = max(max_var, idx)
-                    continue
-                raise ParseError(f"cannot parse factor {part!r} in {text!r}")
-            if not (saw_coeff or saw_monomial):
-                raise ParseError(f"empty term in {text!r}")
+            for m in factors:
+                idx = int(m.group(1))
+                if idx < 1:
+                    raise ParseError(f"variable index must be >= 1 in {m.group(0)!r}")
+                powers[idx] = powers.get(idx, 0) + (int(m.group(2)) if m.group(2) else 1)
+                max_var = max(max_var, idx)
             parsed.append((coeff, powers))
         n = nvars if nvars is not None else max(max_var, 1)
         if max_var > n:
@@ -337,43 +336,13 @@ class UniPoly:
     @classmethod
     def parse(cls, text: str, var: str | None = None) -> "UniPoly":
         """Parse e.g. ``t^4+t+1``; the variable name is detected if not given."""
-        s = text.replace(" ", "")
-        if not s:
-            raise ParseError("empty polynomial text")
         if var is None:
-            m = re.search(r"[a-zA-Z]\w*", s)
+            m = re.search(r"[a-zA-Z]\w*", text.replace(" ", ""))
             var = m.group(0) if m else "t"
-        raw_terms = re.findall(r"[+-]?[^+-]+", s)
-        if "".join(raw_terms) != s:
-            raise ParseError(f"cannot tokenize {text!r}")
         var_re = re.compile(rf"^{re.escape(var)}(?:\^(\d+))?$")
         coeffs: dict[int, Fraction] = {}
-        for raw in raw_terms:
-            sign = Fraction(1)
-            body = raw
-            if body[0] in "+-":
-                if body[0] == "-":
-                    sign = Fraction(-1)
-                body = body[1:]
-            if not body:
-                raise ParseError(f"dangling sign in {text!r}")
-            coeff = sign
-            power = 0
-            saw_any = False
-            for part in body.split("*"):
-                m = _COEFF_RE.match(part)
-                if m:
-                    coeff *= parse_rational(part)
-                    saw_any = True
-                    continue
-                m = var_re.match(part)
-                if m:
-                    power += int(m.group(1)) if m.group(1) else 1
-                    saw_any = True
-                    continue
-                raise ParseError(f"cannot parse factor {part!r} in {text!r}")
-            if not saw_any:
-                raise ParseError(f"empty term in {text!r}")
+        for coeff, factors in _parse_terms(text, var_re):
+            power = sum(int(m.group(1)) if m.group(1) else 1 for m in factors)
             coeffs[power] = coeffs.get(power, Fraction(0)) + coeff
         top = max(coeffs) if coeffs else 0
         return cls([coeffs.get(i, Fraction(0)) for i in range(top + 1)])

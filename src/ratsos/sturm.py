@@ -89,7 +89,8 @@ def isolate_real_roots(
     """
     if not p:
         raise ZeroPolynomial("zero polynomial")
-    q = p.squarefree_part()
+    chain = sturm_chain(p)
+    q = chain[0]
     if q.degree() == 0:
         return []
     bound = root_bound(q)
@@ -97,7 +98,6 @@ def isolate_real_roots(
     b = hi if hi is not None else bound + 1
     if not a < b:
         return []
-    chain = sturm_chain(q)
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(a, b)]
     while stack:
@@ -121,19 +121,29 @@ def isolate_real_roots(
 def refine_interval(
     p: UniPoly, interval: tuple[Fraction, Fraction], width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Bisect an isolating interval (a, b] of ``p`` until it is narrower than ``width``."""
+    """Bisect an isolating interval (a, b] of ``p`` until it is narrower than ``width``.
+
+    One Sturm count checks that (a, b] holds exactly one root r.  The
+    squarefree part q changes sign at its simple root r and nowhere else in
+    (a, b], so q has the sign of q(b) on (r, b] and the opposite sign on
+    (a, r): the sign of q at the midpoint picks the half holding r.  When
+    q(b) = 0 the root is b and every midpoint falls left of it.  A midpoint
+    that is the root comes back as the point interval (mid, mid).
+    """
     a, b = interval
     if a == b:
         return interval
-    q = p.squarefree_part()
-    chain = sturm_chain(q)
+    chain = sturm_chain(p)
     if count_roots_in(chain, a, b) != 1:
         raise ValueError("not an isolating interval")
+    q = chain[0]
+    right = _sign_at(q, b)
     while b - a > width:
         mid = (a + b) / 2
-        if q(mid) == 0:
+        s = _sign_at(q, mid)
+        if s == 0:
             return (mid, mid)
-        if count_roots_in(chain, a, mid) == 1:
+        if s == right:
             b = mid
         else:
             a = mid

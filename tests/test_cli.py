@@ -28,6 +28,12 @@ def test_groups_table_json():
     assert sorted(payload["columns"]["star_not_2transitive"]) == ["6T11", "6T8"]
 
 
+def test_groups_table_reports_groups_past_the_enumeration_bound():
+    res = run(["--enum-bound", "100", "groups", "table", "--catalog", "degree8.cat"])
+    assert res.exit_code == EXIT_INCONCLUSIVE
+    assert "  FAILED 8G35: group order exceeds bound 100 (found 101 elements)" in res.report.splitlines()
+
+
 def test_groups_char_number():
     res = run(["groups", "char-number", "--gens", "(1 2 3 4),(1 3)", "--inv", "(1 2)(3 4)"])
     assert res.exit_code == EXIT_OK
@@ -94,6 +100,18 @@ def test_field_galois_failed_check_is_inconclusive(monkeypatch):
     res = run(["field", "galois", "--minpoly", "t^4+t+1"])
     assert res.exit_code == EXIT_INCONCLUSIVE
     assert res.report.startswith("CheckFailed: resolvent cubic")
+
+
+def test_field_obstruct_galois_gens_on_a_repeated_root_fails_the_squarefree_check():
+    res = run(["field", "obstruct", "--minpoly", "t^6+3*t^4+3*t^2+1", "--galois-gens", "(1 2 3 4 5 6)"])
+    assert res.exit_code == EXIT_INCONCLUSIVE
+    assert "check squarefree: fail (gcd(m, m') is nonconstant)" in res.report
+
+
+def test_field_coefficient_after_the_variable_is_an_input_error():
+    res = run(["field", "obstruct", "--minpoly", "t^4+t*2+1"])
+    assert res.exit_code == EXIT_INPUT
+    assert res.report == "ParseError: misplaced coefficient in term '+t*2'"
 
 
 def test_field_normform():

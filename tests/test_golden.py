@@ -53,11 +53,21 @@ CASES = {
     "field-normform-high-degree": ["field", "normform", "--minpoly=t^4+t+1", "--linform=t^5-2*t; 3+t^4"],
     "field-galois-quartic": ["field", "galois", "--minpoly=t^4+t+1"],
     "field-obstruct-quartic": ["field", "obstruct", "--minpoly=t^4+t+1"],
+    # Q(zeta_7) with its regular C6 action: c = 1, no obstruction
+    "field-obstruct-c6": [
+        "field", "obstruct", "--minpoly=t^6+t^5+t^4+t^3+t^2+t+1", "--galois-gens=(1 3 6 2 4 5)",
+    ],
+    "field-obstruct-linform": ["field", "obstruct", "--minpoly=t^4+t+1", "--linform=1;t;t^3"],
+    # D4 and C4 identify the root pairing of the resolvent root
+    "field-galois-d4": ["field", "galois", "--minpoly=t^4+2"],
+    "field-galois-c4": ["field", "galois", "--minpoly=t^4+t^3+t^2+t+1"],
+    # 10x10 lines with s* = 5/3 and with an irrational s*; "differ" holds two
+    # Gram points of (x1^2 + x2^2)^2 whose spans have dimensions 1 and 2
     **{
         f"gram-shrink-{kind}": [
             "gram", "shrink", "--g1", _data(f"shrink-{kind}-g1.txt"), "--g2", _data(f"shrink-{kind}-g2.txt"),
         ]
-        for kind in ("rational", "generic")  # 10x10 lines; s* = 5/3, and an irrational s*
+        for kind in ("rational", "generic", "differ")
     },
     "groups-classify-d4": ["groups", "classify", "--gens", "(1 2 3 4),(1 3)"],
     "groups-classify-s6": ["groups", "classify", "--gens", "(1 2 3 4 5 6),(1 2)", "--label", "S6"],

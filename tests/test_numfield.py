@@ -229,18 +229,18 @@ def test_real_sos2_rejects_real_embeddings():
 
 
 def test_general_position_canonical():
-    assert general_position(U("t^4+t+1")) is GeneralPosition.EXACT_VANDERMONDE
-    assert general_position(U("t^4+2")) is GeneralPosition.EXACT_VANDERMONDE
+    assert general_position(isolate_roots(U("t^4+t+1"))) is GeneralPosition.EXACT_VANDERMONDE
+    assert general_position(isolate_roots(U("t^4+2"))) is GeneralPosition.EXACT_VANDERMONDE
 
 
 def test_general_position_numeric():
     lin = (UniPoly([1]), UniPoly([0, 1]), UniPoly([0, 0, 0, 1]))  # 1, t, t^3
-    assert general_position(U("t^4+2"), lin) is GeneralPosition.NUMERIC_CERTIFIED
+    assert general_position(isolate_roots(U("t^4+2")), lin) is GeneralPosition.NUMERIC_CERTIFIED
 
 
 def test_general_position_degenerate():
     lin = (UniPoly([1]), UniPoly(), UniPoly())  # l = x1: all conjugates equal
-    assert general_position(U("t^4+2"), lin) is GeneralPosition.INCONCLUSIVE
+    assert general_position(isolate_roots(U("t^4+2")), lin) is GeneralPosition.INCONCLUSIVE
 
 
 def test_quartic_galois_s4():
@@ -330,9 +330,8 @@ def test_obstruction_with_supplied_galois_sextic():
     # K = Q(zeta_7): Galois group C6 acting regularly; tau = inversion.
     m = U("t^6+t^5+t^4+t^3+t^2+t+1")
     rs = isolate_roots(m)
-    tau = rs.pairing
     group = GroupDesc(6, (_regular_c6_generator(rs),), "C6")
-    cert = obstruction_check(m, galois=GaloisData(group=group, tau=tau, label="C6"))
+    cert = obstruction_check(m, galois=GaloisData(group=group, label="C6"))
     assert cert.conclusion is Conclusion.NO_OBSTRUCTION  # abelian: c = 1
     assert cert.c == 1
 

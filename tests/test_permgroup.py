@@ -187,6 +187,15 @@ def test_bundled_degree6_table_and_labels():
     assert sorted(table.labels_star_not_2trans) == ["6T11", "6T8"]
 
 
+def test_classify_catalog_lets_a_bug_propagate(monkeypatch):
+    def broken(group, bound):
+        raise TypeError("a bug, not a failed group")
+
+    monkeypatch.setattr(permgroup, "classify", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        classify_catalog(load_bundled_catalog(4))
+
+
 def test_pair_closure_equals_bruteforce_on_catalogs():
     # spot-check here (degree 4 and 6); the acceptance suite covers degree 8 too
     for degree in (4, 6):

@@ -118,6 +118,29 @@ def test_poly_ring_laws(p, q):
     assert (p + q) - q == p
 
 
+@pytest.mark.parametrize(
+    "template",
+    [
+        "{v}+",  # dangling sign
+        "{v}+-{v}",
+        "+",
+        "{v}+*{v}",  # empty term
+        "2*",
+        "{v}**{v}",
+        "1/0*{v}",
+        "{v}^2-1/0",
+        "{v}*2",  # coefficient after a variable
+        "2*{v}*3",
+        "2*3*{v}",  # a second coefficient
+    ],
+)
+def test_both_parsers_reject_the_same_malformed_terms(template):
+    with pytest.raises(ParseError):
+        Poly.parse(template.format(v="x1"))
+    with pytest.raises(ParseError):
+        UniPoly.parse(template.format(v="t"), var="t")
+
+
 def test_unipoly_parse_and_print():
     m = UniPoly.parse("t^4+t+1")
     assert m.coeffs == (1, 1, 0, 0, 1)

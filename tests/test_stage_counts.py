@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from ratsos import boundary, gram, linalg, permgroup, resultants
-from ratsos.cli import EXIT_INCONCLUSIVE, EXIT_OK, run
+from ratsos import boundary, gram, linalg, numfield, permgroup, resultants, sturm
+from ratsos.cli import EXIT_INCONCLUSIVE, EXIT_NEGATIVE, EXIT_OK, run
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -123,3 +123,58 @@ def test_determinants_avoid_the_laplace_expansion(monkeypatch, argv, exit_code):
     sylvester = count_calls(monkeypatch, resultants, "resultant")
     assert run(argv).exit_code == exit_code
     assert (len(laplace), len(sylvester)) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["field", "obstruct", "--minpoly", "t^6+t^5+t^4+t^3+t^2+t+1", "--galois-gens", "(1 3 6 2 4 5)"],
+         EXIT_INCONCLUSIVE),
+        (["field", "obstruct", "--minpoly", "t^4+t+1", "--linform", "1;t;t^3"], EXIT_OK),
+    ],
+    ids=["galois-gens", "linform"],
+)
+def test_field_obstruct_isolates_the_roots_once(monkeypatch, argv, exit_code):
+    isolations = count_calls(monkeypatch, numfield, "isolate_roots")
+    real_counts = count_calls(monkeypatch, sturm, "count_real_roots")
+    assert run(argv).exit_code == exit_code
+    assert len(isolations) == 1
+    assert len(real_counts) == 2  # the totally-imaginary check and the isolation's cross-check
+
+
+def _shrink_argv(kind):
+    return ["gram", "shrink", "--g1", str(GOLDEN / f"shrink-{kind}-g1.txt"),
+            "--g2", str(GOLDEN / f"shrink-{kind}-g2.txt")]
+
+
+@pytest.mark.parametrize(
+    "kind, exit_code, psd_checks",
+    [
+        ("generic", EXIT_INCONCLUSIVE, 2),
+        ("rational", EXIT_OK, 3),  # the two inputs and the boundary matrix
+        ("differ", EXIT_NEGATIVE, 2),
+    ],
+)
+def test_gram_shrink_checks_and_reduces_each_matrix_once(monkeypatch, kind, exit_code, psd_checks):
+    psd = count_calls(monkeypatch, linalg, "psd_check")
+    reductions = count_calls(monkeypatch, linalg, "rref")
+    assert run(_shrink_argv(kind)).exit_code == exit_code
+    assert len(psd) == psd_checks
+    assert len(reductions) == 2
+
+
+def test_gram_shrink_refines_with_one_sturm_count(monkeypatch):
+    counts = count_calls(monkeypatch, sturm, "count_roots_in")
+    per_refinement = []
+    refine = gram.refine_interval
+
+    def counting_refine(*args):
+        before = len(counts)
+        result = refine(*args)
+        per_refinement.append(len(counts) - before)
+        return result
+
+    monkeypatch.setattr(gram, "refine_interval", counting_refine)
+    assert run(_shrink_argv("generic")).exit_code == EXIT_INCONCLUSIVE
+    assert per_refinement == [1]
+    assert len(counts) <= 60

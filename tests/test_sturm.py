@@ -11,6 +11,7 @@ from ratsos.poly import UniPoly, primitive_vector
 from ratsos.sturm import (
     _simple_roots_mod_prime,
     count_real_roots,
+    count_roots_in,
     isolate_real_roots,
     rational_roots,
     refine_interval,
@@ -125,6 +126,50 @@ def test_no_root_mod_p_proves_no_rational_root():
     # a 41-digit root is lifted from its residue mod the first good prime
     root = 10**40 + 7
     assert rational_roots(UniPoly([-root, 1]) * UniPoly([big, 1, 1])) == [root]
+
+
+def _refine_by_counting(p: UniPoly, interval, width):
+    """Reference bisection: one Sturm count per halving decides the half."""
+    a, b = interval
+    if a == b:
+        return interval
+    chain = sturm_chain(p)
+    if count_roots_in(chain, a, b) != 1:
+        raise ValueError("not an isolating interval")
+    while b - a > width:
+        mid = (a + b) / 2
+        if chain[0](mid) == 0:
+            return (mid, mid)
+        if count_roots_in(chain, a, mid) == 1:
+            b = mid
+        else:
+            a = mid
+    return (a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(small_roots, min_size=1, max_size=4, unique=True),
+    st.integers(2, 12),
+    st.booleans(),
+    st.integers(0, 40),
+)
+def test_refine_interval_matches_counting_oracle(planted, square, repeat, bits):
+    # rational roots, +-sqrt(square) (irrational unless a square), and maybe a repeated factor
+    p = UniPoly([-square, 0, 1])
+    for r in planted + planted[:1] * repeat:
+        p = p * UniPoly([-r, 1])
+    chain = sturm_chain(p)
+    candidates = list(isolate_real_roots(p))
+    for r in planted:
+        # right end a rational root; left end a root of another factor or a nearby point
+        candidates += [(s, r) for s in planted if s < r]
+        candidates += [(r - Fraction(1, 7), r), (r, r + Fraction(1, 7))]
+    width = Fraction(1, 2**bits)
+    isolating = [iv for iv in candidates if count_roots_in(chain, *iv) == 1]
+    assert isolating
+    for iv in isolating:
+        assert refine_interval(p, iv, width) == _refine_by_counting(p, iv, width)
 
 
 def _oracle_real_root_count(p: UniPoly) -> int:
