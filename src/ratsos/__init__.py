@@ -84,6 +84,6 @@ from .permgroup import (
 )
 from .poly import Poly, UniPoly, monomials
 from .resultants import discriminant, pencil_det, resultant, resultant_rational
-from .sturm import count_real_roots, isolate_real_roots, rational_roots
+from .sturm import count_real_roots, isolate_real_roots, rational_roots, sturm_chain
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
 )
 from .gram import GramPoint, QSosWitness, SosRep, extract_qsos, gram_from_squares, is_gram_point
-from .linalg import SymMatrix, nullspace, psd_check, rref
+from .linalg import SymMatrix, nullspace, psd_check, rank
 from .poly import Poly, monomials, parse_rational, primitive_vector
 
 CUBICS = monomials(3, 3)  # 10 monomials
@@ -259,7 +259,7 @@ def assemble_sextic(qs: Sequence[Poly]) -> Poly:
     if len(qs) != 3:
         raise LinearlyDependent("need exactly three cubics")
     rows = [q.coeff_vector(CUBICS) for q in qs]
-    if len(rref(rows)[0]) != 3:
+    if rank(rows) != 3:
         raise LinearlyDependent("cubics are linearly dependent")
     total = Poly.zero(3)
     for q in qs:
@@ -284,8 +284,7 @@ def hilbert_function(u_basis: Sequence[Poly]) -> tuple[int, ...]:
             shift = Poly.monomial(gamma)
             for u in u_basis:
                 rows.append((shift * u).coeff_vector(big))
-        rk = len(rref(rows)[0]) if rows else 0
-        dims.append(dim_ak - rk)
+        dims.append(dim_ak - rank(rows))
     return tuple(dims)
 
 
@@ -483,13 +482,13 @@ class BoundaryChain:
     """Every stage of the nine-point construction, each computed once.
 
     Stages after the first one that fails stay None: a rejected tuple
-    stops at ``verdict``, a moment matrix that is not PSD leaves
-    ``kernel`` None, and a kernel of dimension other than 3 stops there.
+    stops at ``verdict`` (no ``alpha``), a moment matrix that is not PSD
+    leaves ``kernel`` None, and a kernel of dimension other than 3 stops there.
     """
 
     u: tuple[Fraction, ...]
     verdict: TupleVerdict
-    alpha: LinearFunctional
+    alpha: LinearFunctional | None = None
     kernel: tuple[Poly, ...] | None = None
     f: Poly | None = None
     hilbert: tuple[int, ...] | None = None
@@ -509,14 +508,13 @@ def boundary_chain(cfg: NinePointConfig, tup: WeightTuple) -> BoundaryChain:
     The moment matrix is checked PSD once (in :func:`kernel_cubics`), the
     Hilbert function of the kernel is computed once and gives positivity,
     and the boundary certificate reuses that kernel; its extraction is the
-    one the uniqueness certificate reads.  alpha is built even for a
-    rejected tuple, so it can still be saved.
+    one the uniqueness certificate reads.
     """
     u = tuple(cb_relation(cfg))
     verdict = check_tuple(u, tup.a)
-    alpha = functional_from_tuple(cfg, tup)
     if not verdict.ok:
-        return BoundaryChain(u, verdict, alpha)
+        return BoundaryChain(u, verdict)
+    alpha = functional_from_tuple(cfg, tup)
     try:
         kernel = tuple(kernel_cubics(moment_matrix(alpha)))
     except NotPsd:

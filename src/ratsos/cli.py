@@ -249,7 +249,7 @@ def cmd_boundary(args) -> CommandResult:
             return CommandResult(EXIT_INPUT, f"input error: {exc}")
         chain = bd.boundary_chain(points, tup)
         code, report = _render_chain(chain)
-        if args.save_functional:
+        if args.save_functional and chain.alpha is not None:
             Path(args.save_functional).write_text(chain.alpha.to_text())
             report += f"\nfunctional written to {args.save_functional}"
         return CommandResult(code, report)
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     con = bsub.add_parser("construct", help="run the chain on points and a weight tuple")
     con.add_argument("--points", required=True, help="file with 9 lines of p/q,p/q,p/q")
     con.add_argument("--tuple", required=True, help="nine comma-separated rationals")
-    con.add_argument("--save-functional", help="write the functional to this file")
+    con.add_argument("--save-functional", help="write the functional of an accepted tuple to this file")
     cert = bsub.add_parser("certify", help="boundary + uniqueness certificates for (f, alpha)")
     cert.add_argument("--form", required=True)
     cert.add_argument("--functional", required=True)

@@ -41,10 +41,13 @@ def four_squares_int(n: int) -> tuple[int, int, int, int]:
     """Nonnegative integers (a, b, c, d), descending, with a^2+b^2+c^2+d^2 = n."""
     if n < 0:
         raise NonPositive("need a nonnegative integer")
-    parts = _descent(n, 4, isqrt(n))
+    # the descent is slow on n = 4^k m: decompose m, then scale by 2^k
+    k = ((n & -n).bit_length() - 1) // 2 if n else 0
+    m = n >> 2 * k
+    parts = _descent(m, 4, isqrt(m))
     if parts is None:
         raise CheckFailed(f"the four-square descent found no decomposition of {n}")
-    return tuple(parts)  # type: ignore[return-value]
+    return tuple(v << k for v in parts)  # type: ignore[return-value]
 
 
 def four_squares(r) -> tuple[Fraction, Fraction, Fraction, Fraction]:

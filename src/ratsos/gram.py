@@ -26,10 +26,10 @@ from .errors import (
     SpansDiffer,
 )
 from .foursquares import four_squares
-from .linalg import SymMatrix, lin_solve, psd_check, rref
+from .linalg import SymMatrix, lin_solve, psd_check, rank, rref
 from .poly import Poly, UniPoly, monomials, primitive_vector
 from .resultants import pencil_det
-from .sturm import isolate_real_roots, rational_roots, refine_interval
+from .sturm import isolate_real_roots, rational_roots, refine_interval, sturm_chain
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,6 @@ def _echelon_forms(point: GramPoint, reduced) -> list[Poly]:
     ]
 
 
-def _independent_rows(polys, basis):
-    reduced, _ = rref([p.coeff_vector(basis) for p in polys])
-    return reduced
-
-
 def face_dimension(rep: SosRep) -> tuple[int, bool]:
     """(dim of the supporting face, whether the squares are quadratically
     independent).
@@ -155,13 +150,12 @@ def face_dimension(rep: SosRep) -> tuple[int, bool]:
     p_1..p_r; the Gram point is extreme iff dim F = 0.
     """
     basis = monomials(rep.nvars, rep.degree)
-    rows = _independent_rows([p for p in rep.squares if p], basis)
+    rows, _ = rref([p.coeff_vector(basis) for p in rep.squares if p])
     ps = [Poly.from_coeff_vector(rep.nvars, basis, row) for row in rows]
     r = len(ps)
     big = monomials(rep.nvars, 2 * rep.degree)
     prod_rows = [(ps[i] * ps[j]).coeff_vector(big) for i, j in combinations_with_replacement(range(r), 2)]
-    rk = len(rref(prod_rows)[0])
-    dim_f = comb(r + 1, 2) - rk
+    dim_f = comb(r + 1, 2) - rank(prod_rows)
     return dim_f, dim_f == 0
 
 
@@ -209,7 +203,7 @@ def extract_qsos(f: Poly, basis_polys: list[Poly]) -> QSosWitness:
         raise HeterogeneousDegrees(f"f must be a form of degree {2 * deg}, twice the basis degree")
     basis = monomials(nvars, deg)
     rows = [p.coeff_vector(basis) for p in basis_polys]
-    if len(rref(rows)[0]) != len(basis_polys):
+    if rank(rows) != len(basis_polys):
         raise LinearlyDependent("basis polynomials are linearly dependent")
     r = len(basis_polys)
     pairs = list(combinations_with_replacement(range(r), 2))
@@ -315,14 +309,15 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
     det_poly = UniPoly([det_form.coefficient((r - e, e)) for e in range(r + 1)])
     if not det_poly or det_poly.degree() == 0:
         raise SpansDiffer("determinant of the restricted pencil is constant; no boundary on the line")
-    intervals = isolate_real_roots(det_poly, lo=Fraction(1))
+    chain = sturm_chain(det_poly)
+    intervals = isolate_real_roots(chain, lo=Fraction(1))
     if not intervals:
         raise SpansDiffer("no boundary parameter s > 1 on the line (unexpected for a compact face)")
     lo, hi = intervals[0]
     rank_before = v1.rank
     exact = next((root for root in rational_roots(det_poly) if lo < root <= hi), None)
     if exact is None:  # s* is irrational: refinement cannot land on it
-        lo, hi = refine_interval(det_poly, (lo, hi), Fraction(1, 2**64))
+        lo, hi = refine_interval(chain, (lo, hi), Fraction(1, 2**64))
         return ShrinkResult(s_interval=(lo, hi), deferred=True, rank_before=rank_before)
     q_star = [
         [q1[i][j] + exact * (q2[i][j] - q1[i][j]) for j in range(r)] for i in range(r)

@@ -34,7 +34,7 @@ from .intervals import Box, Interval, det3_box, eval_unipoly_box
 from .permgroup import GroupDesc, Perm, char_number, enumerate_group
 from .poly import Poly, UniPoly
 from .resultants import discriminant, pencil_det
-from .sturm import count_real_roots, rational_roots
+from .sturm import count_real_roots, rational_roots, sturm_chain
 
 DEFAULT_PRECISION_BITS = 128
 PRECISION_CAP_BITS = 1024
@@ -143,9 +143,10 @@ def isolate_roots(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> R
     """
     if not m or m.degree() < 1:
         raise ZeroPolynomial("need a nonconstant polynomial")
-    if not m.is_squarefree():
+    chain = sturm_chain(m)
+    if chain[0].degree() != m.degree():
         raise NotSquarefree("polynomial has repeated roots")
-    n_real = count_real_roots(m)
+    n_real = count_real_roots(chain)
     prec = max(precision_bits, 53)
     while prec <= PRECISION_CAP_BITS:
         result = _try_isolate(m, n_real, prec)
@@ -449,14 +450,14 @@ def quartic_galois(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
     if m.degree() != 4:
         raise DegreeTooSmall("quartic Galois analysis needs degree exactly 4")
     m = m.monic()
-    if not m.is_squarefree():
+    disc = discriminant(m)
+    if disc == 0:
         raise Reducible("polynomial has repeated roots")
     _, p, q, r = _depress_quartic(m)
     resolvent = UniPoly([4 * p * r - q * q, -4 * r, -p, Fraction(1)])
     roots = rational_roots(resolvent)
     if _quartic_reducible(m, p, q, r, roots):
         raise Reducible(f"{m} has a proper rational factor")
-    disc = discriminant(m)
     rs = isolate_roots(m, precision_bits)
     if len(roots) == 0:
         label = "A4" if _is_rational_square(disc) else "S4"
@@ -614,12 +615,13 @@ def obstruction_check(
         return bail()
     if not m.is_monic():
         raise NotMonic("minimal polynomial must be monic")
-    if not m.is_squarefree():
+    chain = sturm_chain(m)
+    if chain[0].degree() != two_d:
         checks.append(CheckRecord("squarefree", "fail", "gcd(m, m') is nonconstant"))
         return bail()
     checks.append(CheckRecord("squarefree", "pass", "gcd(m, m') constant"))
 
-    n_real = count_real_roots(m)
+    n_real = count_real_roots(chain)
     if n_real != 0:
         checks.append(CheckRecord("totally imaginary", "fail", f"Sturm count {n_real} real roots"))
         return bail()

@@ -464,12 +464,24 @@ class UniPoly:
         lead = self.coeffs[-1]
         return UniPoly([c / lead for c in self.coeffs])
 
+    def remainder_sequence(self, other: "UniPoly") -> list["UniPoly"]:
+        """Signed remainder sequence self, other, -rem(self, other), ... to its last nonzero term.
+
+        The last term divides both inputs; two zeros give ``[0]``.  Each term
+        is scaled by a positive rational to a primitive integer polynomial:
+        coefficients stay small and signs stay as in a Sturm sequence.
+        """
+        seq = [UniPoly(_positive_primitive(p.coeffs)) for p in (self, other)]
+        while seq[-1]:
+            rem = -(seq[-2] % seq[-1])
+            seq.append(UniPoly(_positive_primitive(rem.coeffs)))
+        seq.pop()
+        return seq
+
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic greatest common divisor (Euclid over the rationals)."""
-        a, b = self, other
-        while b:
-            a, b = b, a % b
-        return a.monic() if a else a
+        """Monic greatest common divisor: the last term of the remainder sequence."""
+        last = self.remainder_sequence(other)[-1]
+        return last.monic() if last else last
 
     def is_squarefree(self) -> bool:
         if not self.coeffs:
@@ -534,19 +546,19 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}") from exc
 
 
+def _positive_primitive(vals: Sequence[Fraction]) -> list[int]:
+    """``vals``, empty or with a nonzero entry, times the positive rational making coprime integers."""
+    den = lcm(*(v.denominator for v in vals))
+    ints = [int(v * den) for v in vals]
+    content = gcd(*ints)
+    return [v // content for v in ints]
+
+
 def primitive_vector(vec: Sequence[Fraction]) -> list[Fraction]:
     """Scale to integer entries with content 1 and positive first nonzero entry."""
     vals = [Fraction(v) for v in vec]
-    nz = [v for v in vals if v]
-    if not nz:
+    if not any(vals):
         return vals
-    den = lcm(*[v.denominator for v in vals])
-    ints = [int(v * den) for v in vals]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v)
-    if first < 0:
-        ints = [-v for v in ints]
-    return [Fraction(v) for v in ints]
+    ints = _positive_primitive(vals)
+    sign = 1 if next(v for v in ints if v) > 0 else -1
+    return [Fraction(sign * v) for v in ints]

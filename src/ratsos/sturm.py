@@ -1,7 +1,7 @@
 """Exact real roots of UniPoly: Sturm chains and p-adic rational roots.
 
-Sturm chains count and isolate real roots; they decide "totally imaginary"
-(zero real roots) and isolate boundary parameters in span shrinking.
+One Sturm chain per polynomial feeds every real-root query: it decides
+"totally imaginary" (no real root) and isolates shrink boundary parameters.
 Rational roots (quartic Galois groups, rational boundary parameters) are
 found by Hensel lifting of the roots modulo one prime, in time polynomial
 in the degree and the coefficient bit size.
@@ -14,17 +14,18 @@ from .poly import UniPoly, primitive_vector
 
 
 def sturm_chain(p: UniPoly) -> list[UniPoly]:
-    """Sturm sequence of the squarefree part of ``p``."""
+    """Sturm sequence of the squarefree part of ``p``, no term zero.
+
+    The remainder sequence of p and p' ends at g = gcd(p, p'); divided by
+    g it is a Sturm sequence of p/g (Basu, Pollack and Roy, Algorithms in
+    Real Algebraic Geometry, 2.2).  Its first term, a positive multiple of
+    p/g, has the degree of ``p`` exactly when ``p`` is squarefree.
+    """
     if not p:
         raise ZeroPolynomial("Sturm chain of the zero polynomial")
-    q = p.squarefree_part()
-    chain = [q, q.derivative()]
-    while chain[-1]:
-        nxt = -(chain[-2] % chain[-1])
-        if not nxt:
-            break
-        chain.append(nxt)
-    return chain
+    chain = p.remainder_sequence(p.derivative())
+    g = chain[-1] if chain[-1].lead() > 0 else -chain[-1]
+    return chain if g.degree() == 0 else [q // g for q in chain]
 
 
 def _variations(signs: list[int]) -> int:
@@ -38,8 +39,6 @@ def _sign_at(p: UniPoly, x: Fraction) -> int:
 
 
 def _sign_at_inf(p: UniPoly, positive: bool) -> int:
-    if not p:
-        return 0
     lead = p.lead()
     s = (lead > 0) - (lead < 0)
     if not positive and p.degree() % 2 == 1:
@@ -47,13 +46,8 @@ def _sign_at_inf(p: UniPoly, positive: bool) -> int:
     return s
 
 
-def count_real_roots(p: UniPoly) -> int:
-    """Number of distinct real roots of ``p`` (multiplicities ignored)."""
-    if not p:
-        raise ZeroPolynomial("zero polynomial has every point as a root")
-    if p.degree() == 0:
-        return 0
-    chain = sturm_chain(p)
+def count_real_roots(chain: list[UniPoly]) -> int:
+    """Number of distinct real roots of the polynomial whose Sturm ``chain`` is given."""
     at_minus = _variations([_sign_at_inf(q, positive=False) for q in chain])
     at_plus = _variations([_sign_at_inf(q, positive=True) for q in chain])
     return at_minus - at_plus
@@ -69,27 +63,21 @@ def count_roots_in(chain: list[UniPoly], a: Fraction, b: Fraction) -> int:
 
 
 def root_bound(p: UniPoly) -> Fraction:
-    """Cauchy bound M: every real root of ``p`` lies in [-M, M]."""
-    if not p:
-        raise ZeroPolynomial("zero polynomial")
-    if p.degree() == 0:
-        return Fraction(1)
+    """Cauchy bound M: every real root of a nonconstant ``p`` lies in [-M, M]."""
     lead = abs(p.lead())
     return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
 
 
 def isolate_real_roots(
-    p: UniPoly, lo: Fraction | None = None, hi: Fraction | None = None
+    chain: list[UniPoly], lo: Fraction | None = None, hi: Fraction | None = None
 ) -> list[tuple[Fraction, Fraction]]:
     """Disjoint half-open intervals (a, b], each containing exactly one real root.
 
-    Restricted to ``(lo, hi]`` when bounds are given; intervals come back
-    sorted.  Split points are chosen off the root set, so the half-open
-    counting stays consistent.
+    ``chain`` is the Sturm chain of the polynomial.  Restricted to
+    ``(lo, hi]`` when bounds are given; intervals come back sorted.  Split
+    points are chosen off the root set, so the half-open counting stays
+    consistent.
     """
-    if not p:
-        raise ZeroPolynomial("zero polynomial")
-    chain = sturm_chain(p)
     q = chain[0]
     if q.degree() == 0:
         return []
@@ -119,12 +107,13 @@ def isolate_real_roots(
 
 
 def refine_interval(
-    p: UniPoly, interval: tuple[Fraction, Fraction], width: Fraction
+    chain: list[UniPoly], interval: tuple[Fraction, Fraction], width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Bisect an isolating interval (a, b] of ``p`` until it is narrower than ``width``.
+    """Bisect an isolating interval (a, b] until it is narrower than ``width``.
 
-    One Sturm count checks that (a, b] holds exactly one root r.  The
-    squarefree part q changes sign at its simple root r and nowhere else in
+    ``chain`` is the Sturm chain of the polynomial.  One Sturm count checks
+    that (a, b] holds exactly one root r.  The squarefree part
+    q = chain[0] changes sign at its simple root r and nowhere else in
     (a, b], so q has the sign of q(b) on (r, b] and the opposite sign on
     (a, r): the sign of q at the midpoint picks the half holding r.  When
     q(b) = 0 the root is b and every midpoint falls left of it.  A midpoint
@@ -133,7 +122,6 @@ def refine_interval(
     a, b = interval
     if a == b:
         return interval
-    chain = sturm_chain(p)
     if count_roots_in(chain, a, b) != 1:
         raise ValueError("not an isolating interval")
     q = chain[0]

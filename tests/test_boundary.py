@@ -402,7 +402,7 @@ def test_boundary_chain_demo():
 def test_boundary_chain_stops_at_a_rejected_tuple():
     chain = boundary_chain(demo_points(), WeightTuple((1, 1, 1, 1, 4, 4, 4, 4, -3)))
     assert not chain.verdict.ok
-    assert chain.alpha is not None  # still built, so it can be saved
+    assert chain.alpha is None  # built only for an accepted tuple, so nothing is saved
     assert chain.kernel is None and chain.rank is None and chain.boundary is None
 
 

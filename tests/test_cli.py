@@ -160,6 +160,17 @@ def test_boundary_construct_bad_tuple(tmp_path):
     assert res.exit_code == EXIT_NEGATIVE
 
 
+def test_boundary_construct_rejected_tuple_saves_no_functional(tmp_path):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("\n".join(",".join(str(c) for c in p) for p in demo_points().points))
+    out = tmp_path / "alpha.txt"
+    res = run(["boundary", "construct", "--points", str(pts), "--tuple", "1,1,1,1,4,4,4,4,-3",
+               "--save-functional", str(out)])
+    assert res.exit_code == EXIT_NEGATIVE
+    assert not out.exists()
+    assert "functional written to" not in res.report
+
+
 def test_boundary_certify_rejects_interior(tmp_path):
     alpha = functional_from_tuple(demo_points(), demo_tuple())
     afile = tmp_path / "alpha.txt"

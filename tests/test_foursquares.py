@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,20 @@ def test_integer_descent_awkward_cases():
         parts = four_squares_int(n)
         assert sum(v * v for v in parts) == n
         assert parts[3] > 0
+
+
+def test_powers_of_four_are_split_off():
+    # the descent alone on 4^k m searched down from 2^k sqrt(m): 4^16 * 7 did not finish in 15 s
+    start = time.perf_counter()
+    assert four_squares_int(4**16 * 7) == (2**17, 2**16, 2**16, 2**16)
+    assert time.perf_counter() - start < 0.05
+    for r in (Fraction(2**18, 999991), Fraction(77093, 524288)):  # the second was found by Hypothesis
+        start = time.perf_counter()
+        a, b, c, d = four_squares(r)
+        assert time.perf_counter() - start < 0.05
+        assert a * a + b * b + c * c + d * d == r
+    assert four_squares_int(12) == (2, 2, 2, 0)
+    assert four_squares_int(0) == (0, 0, 0, 0)
 
 
 def test_random_rationals_spec_scale():

@@ -58,6 +58,11 @@ CASES = {
         "field", "obstruct", "--minpoly=t^6+t^5+t^4+t^3+t^2+t+1", "--galois-gens=(1 3 6 2 4 5)",
     ],
     "field-obstruct-linform": ["field", "obstruct", "--minpoly=t^4+t+1", "--linform=1;t;t^3"],
+    # a repeated root, real roots of a quartic and of a sextic: the Sturm chain decides
+    "field-galois-repeated": ["field", "galois", "--minpoly=t^4+2*t^2+1"],
+    "field-obstruct-repeated": ["field", "obstruct", "--minpoly=t^4+2*t^2+1"],
+    "field-obstruct-real-roots": ["field", "obstruct", "--minpoly=t^4-t-1"],
+    "field-obstruct-s6": ["field", "obstruct", "--minpoly=t^6-t-1", "--galois-gens=(1 2 3 4 5 6),(1 2)"],
     # D4 and C4 identify the root pairing of the resolvent root
     "field-galois-d4": ["field", "galois", "--minpoly=t^4+2"],
     "field-galois-c4": ["field", "galois", "--minpoly=t^4+t^3+t^2+t+1"],

@@ -12,6 +12,7 @@ import pytest
 
 from ratsos import boundary, gram, linalg, numfield, permgroup, resultants, sturm
 from ratsos.cli import EXIT_INCONCLUSIVE, EXIT_NEGATIVE, EXIT_OK, run
+from ratsos.poly import UniPoly
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -29,6 +30,18 @@ def count_calls(monkeypatch, module, name) -> list:
             for attr, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def count_method_calls(monkeypatch, cls, name) -> list:
+    original = getattr(cls, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
     return calls
 
 
@@ -178,3 +191,26 @@ def test_gram_shrink_refines_with_one_sturm_count(monkeypatch):
     assert run(_shrink_argv("generic")).exit_code == EXIT_INCONCLUSIVE
     assert per_refinement == [1]
     assert len(counts) <= 60
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, counts",
+    [
+        # rational_roots of the resolvent cubic and of m take the only gcds
+        (["field", "obstruct", "--minpoly", "t^4+t+1"], EXIT_OK,
+         {"gcd": 2, "is_squarefree": 0, "sturm_chain": 2}),
+        (["field", "galois", "--minpoly", "t^4+2"], EXIT_OK, {"gcd": 2, "is_squarefree": 0, "sturm_chain": 1}),
+        # one chain of det Q(s) isolates and refines s*; rational_roots takes the gcd
+        (_shrink_argv("generic"), EXIT_INCONCLUSIVE, {"gcd": 1, "is_squarefree": 0, "sturm_chain": 1}),
+        (_shrink_argv("rational"), EXIT_OK, {"gcd": 1, "is_squarefree": 0, "sturm_chain": 1}),
+    ],
+    ids=["obstruct-quartic", "galois-d4", "shrink-generic", "shrink-rational"],
+)
+def test_one_remainder_sequence_per_polynomial(monkeypatch, argv, exit_code, counts):
+    calls = {
+        "gcd": count_method_calls(monkeypatch, UniPoly, "gcd"),
+        "is_squarefree": count_method_calls(monkeypatch, UniPoly, "is_squarefree"),
+        "sturm_chain": count_calls(monkeypatch, sturm, "sturm_chain"),
+    }
+    assert run(argv).exit_code == exit_code
+    assert {name: len(c) for name, c in calls.items()} == counts

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from itertools import combinations
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -25,39 +26,39 @@ def U(s):
 
 
 def test_known_counts():
-    assert count_real_roots(U("t^2+1")) == 0
-    assert count_real_roots(U("t^4+t+1")) == 0
-    assert count_real_roots(U("t^4-t-1")) == 2
-    assert count_real_roots(U("t^3 - t")) == 3
-    assert count_real_roots(U("t^2 - 2*t + 1")) == 1  # double root counted once
-    assert count_real_roots(U("5")) == 0
+    assert count_real_roots(sturm_chain(U("t^2+1"))) == 0
+    assert count_real_roots(sturm_chain(U("t^4+t+1"))) == 0
+    assert count_real_roots(sturm_chain(U("t^4-t-1"))) == 2
+    assert count_real_roots(sturm_chain(U("t^3 - t"))) == 3
+    assert count_real_roots(sturm_chain(U("t^2 - 2*t + 1"))) == 1  # double root counted once
+    assert count_real_roots(sturm_chain(U("5"))) == 0
     with pytest.raises(ZeroPolynomial):
-        count_real_roots(UniPoly())
+        sturm_chain(UniPoly())
 
 
 def test_isolation_basic():
     p = U("t^3 - t")  # roots -1, 0, 1
-    ivs = isolate_real_roots(p)
+    ivs = isolate_real_roots(sturm_chain(p))
     assert len(ivs) == 3
     for (a, b), root in zip(ivs, (-1, 0, 1)):
         assert a < root <= b
     # restricted window
-    assert len(isolate_real_roots(p, lo=Fraction(1, 2), hi=Fraction(10))) == 1
+    assert len(isolate_real_roots(sturm_chain(p), lo=Fraction(1, 2), hi=Fraction(10))) == 1
 
 
 def test_refine_interval():
-    p = U("t^2 - 2")
-    (iv,) = isolate_real_roots(p, lo=Fraction(0), hi=Fraction(2))
-    a, b = refine_interval(p, iv, Fraction(1, 10**6))
+    chain = sturm_chain(U("t^2 - 2"))
+    (iv,) = isolate_real_roots(chain, lo=Fraction(0), hi=Fraction(2))
+    a, b = refine_interval(chain, iv, Fraction(1, 10**6))
     if a != b:
         assert b - a <= Fraction(1, 10**6)
     assert float(a) == pytest.approx(2**0.5, abs=1e-5)
 
 
 def test_refine_hits_exact_rational_root():
-    p = U("t^2 - 4")
-    (iv,) = isolate_real_roots(p, lo=Fraction(0), hi=Fraction(5))
-    a, b = refine_interval(p, iv, Fraction(1, 2**40))
+    chain = sturm_chain(U("t^2 - 4"))
+    (iv,) = isolate_real_roots(chain, lo=Fraction(0), hi=Fraction(5))
+    a, b = refine_interval(chain, iv, Fraction(1, 2**40))
     assert (a, b) == (2, 2) or (a < 2 <= b)
 
 
@@ -160,7 +161,7 @@ def test_refine_interval_matches_counting_oracle(planted, square, repeat, bits):
     for r in planted + planted[:1] * repeat:
         p = p * UniPoly([-r, 1])
     chain = sturm_chain(p)
-    candidates = list(isolate_real_roots(p))
+    candidates = list(isolate_real_roots(chain))
     for r in planted:
         # right end a rational root; left end a root of another factor or a nearby point
         candidates += [(s, r) for s in planted if s < r]
@@ -169,7 +170,7 @@ def test_refine_interval_matches_counting_oracle(planted, square, repeat, bits):
     isolating = [iv for iv in candidates if count_roots_in(chain, *iv) == 1]
     assert isolating
     for iv in isolating:
-        assert refine_interval(p, iv, width) == _refine_by_counting(p, iv, width)
+        assert refine_interval(chain, iv, width) == _refine_by_counting(p, iv, width)
 
 
 def _oracle_real_root_count(p: UniPoly) -> int:
@@ -210,7 +211,7 @@ def test_sturm_vs_bisection_oracle_200():
         deg = rng.randint(1, 8)
         coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
         p = UniPoly(coeffs)
-        assert count_real_roots(p) == _oracle_real_root_count(p)
+        assert count_real_roots(sturm_chain(p)) == _oracle_real_root_count(p)
 
 
 def test_isolation_intervals_are_isolating():
@@ -219,12 +220,73 @@ def test_isolation_intervals_are_isolating():
         deg = rng.randint(1, 6)
         coeffs = [rng.randint(-6, 6) for _ in range(deg)] + [rng.randint(1, 6)]
         p = UniPoly(coeffs)
-        ivs = isolate_real_roots(p)
-        assert len(ivs) == count_real_roots(p)
         chain = sturm_chain(p)
-        from ratsos.sturm import count_roots_in
-
+        ivs = isolate_real_roots(chain)
+        assert len(ivs) == count_real_roots(chain)
         for a, b in ivs:
             assert count_roots_in(chain, a, b) == 1
         for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
             assert b1 <= a2
+
+
+def _euclid_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Oracle: monic gcd by Euclid over the rationals."""
+    while b:
+        a, b = b, a % b
+    return a.monic() if a else a
+
+
+def _classical_chain(p: UniPoly) -> list[UniPoly]:
+    """Oracle: q, q', -rem, ... for the squarefree part q = p / gcd(p, p'), over the rationals."""
+    q = p // _euclid_gcd(p, p.derivative())
+    chain = [q, q.derivative()]
+    while chain[-1]:
+        chain.append(-(chain[-2] % chain[-1]))
+    return [t for t in chain if t]
+
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(small_fractions, min_size=2, max_size=3).filter(lambda cs: cs[-1] != 0), st.integers(1, 3)),
+        min_size=1,
+        max_size=4,
+    ),
+    small_fractions.filter(bool),
+    st.lists(small_fractions, max_size=4),
+)
+def test_chain_counts_match_the_classical_chain(factors, scale, points):
+    # repeated factors with Fraction coefficients; endpoints include the rational roots
+    p = UniPoly([scale])
+    for coeffs, mult in factors:
+        p = p * UniPoly(coeffs) ** mult
+    ends = sorted(set(points) | {-c[0] / c[1] for c, _ in factors if len(c) == 2})
+    chain, oracle = sturm_chain(p), _classical_chain(p)
+    ratio = oracle[0].lead() / chain[0].lead()
+    assert ratio > 0 and chain[0] * ratio == oracle[0]  # the squarefree part, up to a positive constant
+    assert count_real_roots(chain) == count_real_roots(oracle)
+    for a, b in combinations(ends, 2):
+        assert count_roots_in(chain, a, b) == count_roots_in(oracle, a, b)
+    for other in (p.derivative(), UniPoly(factors[0][0]) * UniPoly(points + [1]), UniPoly()):
+        assert p.gcd(other) == _euclid_gcd(p, other)
+        assert other.gcd(p) == _euclid_gcd(other, p)
+
+
+def test_remainder_sequence_terms_are_positive_primitive_multiples():
+    p = U("-3/2*t^4 + 5/3*t^2 - 1/7")
+    seq = p.remainder_sequence(p.derivative())
+    assert seq[:2] == [U("-63*t^4 + 70*t^2 - 6"), U("-9*t^3 + 5*t")]
+    for k, term in enumerate(seq):
+        assert all(c.denominator == 1 for c in term.coeffs)
+        assert gcd(*(int(c) for c in term.coeffs)) == 1
+        if k >= 2:
+            rem = -(seq[k - 2] % seq[k - 1])
+            ratio = rem.lead() / term.lead()
+            assert ratio > 0 and term * ratio == rem
+    assert seq[-1].degree() == 0
+    assert p.remainder_sequence(UniPoly()) == seq[:1]
+    assert UniPoly().remainder_sequence(UniPoly()) == [UniPoly()]
+    assert sturm_chain(U("-5")) == [U("-1")]
