@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .errors import (
     DuplicatePoint,
+    HeterogeneousDegrees,
     LinearlyDependent,
     MissingGramWitness,
     NoSolution,
@@ -188,7 +189,7 @@ class LinearFunctional:
 
     def __call__(self, f: Poly) -> Fraction:
         if f.nvars != 3 or (f and not (f.is_homogeneous() and f.degree() == 6)):
-            raise ValueError("functional applies to homogeneous ternary sextics")
+            raise HeterogeneousDegrees("functional applies to homogeneous ternary sextics")
         vec = f.coeff_vector(SEXTICS)
         return sum((c * v for c, v in zip(self.coeffs, vec)), Fraction(0))
 

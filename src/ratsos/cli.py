@@ -78,6 +78,8 @@ def _parse_gram_file(text: str) -> gr.GramPoint:
     if not lines or not lines[0].startswith("gram"):
         raise RatsosError("gram file must start with 'gram n=<vars> d=<half-degree>'")
     header = dict(part.split("=") for part in lines[0].split()[1:])
+    if not {"n", "d"} <= header.keys():
+        raise RatsosError("gram file must start with 'gram n=<vars> d=<half-degree>'")
     nvars, d = int(header["n"]), int(header["d"])
     rows = [[parse_rational(v) for v in ln.split()] for ln in lines[1:]]
     return gr.GramPoint(nvars, d, SymMatrix.from_rows(rows))
@@ -442,6 +444,8 @@ def run(argv=None) -> CommandResult:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if [] in vars(args).values():  # argparse reads an option value "--" as an empty list
+            parser.error("an option value cannot be '--'")
     except SystemExit as exc:
         # argparse exits 2 on bad usage; remap to the input-error code
         raise SystemExit(EXIT_INPUT if exc.code else 0)

@@ -119,5 +119,9 @@ class EqualPoints(RatsosError):
     pass
 
 
+class DifferentForms(RatsosError, ValueError):
+    """Two Gram points represent different forms."""
+
+
 class MissingGramWitness(RatsosError):
     """Boundary certificate needs an explicit SOS witness for membership."""

@@ -17,6 +17,7 @@ from math import comb
 
 from .errors import (
     CheckFailed,
+    DifferentForms,
     EqualPoints,
     HeterogeneousDegrees,
     LinearlyDependent,
@@ -24,6 +25,7 @@ from .errors import (
     NotPsd,
     NotQuadraticallyIndependent,
     SpansDiffer,
+    ZeroPolynomial,
 )
 from .foursquares import four_squares
 from .linalg import SymMatrix, lin_solve, psd_check, rank, rref
@@ -201,6 +203,8 @@ def extract_qsos(f: Poly, basis_polys: list[Poly]) -> QSosWitness:
         raise HeterogeneousDegrees("basis polynomials must be forms of one degree")
     if any(sum(e) != 2 * deg for e in f.terms):
         raise HeterogeneousDegrees(f"f must be a form of degree {2 * deg}, twice the basis degree")
+    if not f:
+        raise ZeroPolynomial("f is the zero form; it has no squares to extract")
     basis = monomials(nvars, deg)
     rows = [p.coeff_vector(basis) for p in basis_polys]
     if rank(rows) != len(basis_polys):
@@ -283,7 +287,7 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
     """
     f = mu(g1)
     if mu(g2) != f:
-        raise ValueError("Gram points represent different forms")
+        raise DifferentForms("Gram points represent different forms")
     if g1.matrix == g2.matrix:
         raise EqualPoints("need two distinct Gram points")
     v1, v2 = psd_check(g1.matrix), psd_check(g2.matrix)

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Reduced row echelon form, kernels and linear solves back every rank
-computation in the toolkit; ``psd_check`` decides positive semidefiniteness
+One fraction-free elimination on primitive integer rows (``_echelon``)
+gives every rank, reduced row echelon form, kernel, linear solve and
+determinant in the toolkit; ``psd_check`` decides positive semidefiniteness
 without tolerances by recursive Schur complements, returning either an
 LDL^T factorization with nonnegative pivots or an explicit rational witness
 vector ``v`` with ``v^T M v < 0``.
@@ -9,46 +10,82 @@ vector ``v`` with ``v^T M v < 0``.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Sequence
 
-from .errors import NotPsd
+from .errors import DimensionMismatch, NotPsd
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
 
 
-def _as_mat(rows: Sequence[Sequence]) -> Mat:
-    return [[Fraction(x) for x in row] for row in rows]
+def _combine(a: int, row: list[int], b: int, pivot_row: list[int]) -> tuple[list[int], int]:
+    """(primitive part of a*row - b*pivot_row, its content); the content of a zero row is 1."""
+    new = [a * x - b * y for x, y in zip(row, pivot_row)]
+    g = gcd(*new) or 1
+    return ([v // g for v in new] if g > 1 else new), g
+
+
+def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], list[int], list[int]]:
+    """Fraction-free forward elimination: (nonzero echelon rows, pivot columns, up, down).
+
+    Rows are scaled to integers, and each row eliminated below a pivot is
+    made primitive again, so entries stay small and no Fraction is formed.
+    The scalings, eliminations and swaps multiply the determinant by
+    prod(down) / prod(up): a full-rank square matrix has
+    det = prod(up) * prod(pivots) / prod(down).
+    """
+    vals = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
+    down = [lcm(*(v.denominator for v in row)) for row in vals]
+    m = [[v.numerator * (den // v.denominator) for v in row] for row, den in zip(vals, down)]
+    up: list[int] = []
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            m[r], m[k] = m[k], m[r]
+            up.append(-1)
+        p = m[r][c]
+        for i in range(r + 1, len(m)):
+            if lead := m[i][c]:
+                g = gcd(p, lead)
+                m[i], content = _combine(p // g, m[i], lead // g, m[r])
+                up.append(content)
+                down.append(p // g)
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    return m[: len(pivots)], pivots, up, down
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    m = _as_mat(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    red, pivots, _, _ = _echelon(rows)
+    for i in range(len(red) - 1, 0, -1):  # back-substitution, bottom-up
+        c, p = pivots[i], red[i][pivots[i]]
+        for j in range(i):
+            if lead := red[j][c]:
+                g = gcd(p, lead)
+                red[j], _ = _combine(p // g, red[j], lead // g, red[i])
+    return [[Fraction(v, row[c]) for v in row] for row, c in zip(red, pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
+    return len(_echelon(rows)[1])
+
+
+def det(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square rational matrix, exactly."""
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise DimensionMismatch("determinant needs a nonempty square matrix")
+    red, pivots, up, down = _echelon(rows)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(prod(up) * prod(row[c] for row, c in zip(red, pivots)), prod(down))
 
 
 def nullspace(rows: Sequence[Sequence]) -> list[Vec]:
@@ -57,11 +94,10 @@ def nullspace(rows: Sequence[Sequence]) -> list[Vec]:
     The returned vectors are linearly independent, each annihilated by the
     matrix, and their count equals ``columns - rank``.
     """
-    m = _as_mat(rows)
-    if not m:
+    if not rows:
         return []
-    ncols = len(m[0])
-    red, pivots = rref(m)
+    ncols = len(rows[0])
+    red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis: list[Vec] = []
     for fc in free:
@@ -70,10 +106,7 @@ def nullspace(rows: Sequence[Sequence]) -> list[Vec]:
         for i, pc in enumerate(pivots):
             v[pc] = -red[i][fc]
         basis.append(v)
-    if not basis:
-        return []
-    canon, _ = rref(basis)
-    return canon
+    return rref(basis)[0]
 
 
 def lin_solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Vec | None, int]:
@@ -83,15 +116,12 @@ def lin_solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Vec | None, int]
     solution (``None`` if the system is inconsistent) and ``free_count`` the
     dimension of the solution space.
     """
-    a = _as_mat(rows)
-    b = [Fraction(x) for x in rhs]
-    if len(a) != len(b):
+    if len(rows) != len(rhs):
         raise ValueError("matrix/vector size mismatch")
-    if not a:
+    if not rows:
         return [], 0
-    ncols = len(a[0])
-    aug = [row + [bv] for row, bv in zip(a, b)]
-    red, pivots = rref(aug)
+    ncols = len(rows[0])
+    red, pivots = rref([list(row) + [bv] for row, bv in zip(rows, rhs)])
     if ncols in pivots:
         return None, ncols - len([p for p in pivots if p < ncols])
     x = [Fraction(0)] * ncols

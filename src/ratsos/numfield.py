@@ -14,6 +14,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 import mpmath
 
@@ -59,7 +60,7 @@ class RootSystem:
     approximations aligned with the boxes (not part of the certificate).
     One root system is isolated per minimal polynomial and handed to every
     stage that needs its roots; a stage whose boxes are too wide asks for
-    ``refined()``.
+    ``refined()``, which reuses the Sturm ``chain`` of ``minpoly``.
     """
 
     minpoly: UniPoly
@@ -68,6 +69,7 @@ class RootSystem:
     totally_imaginary: bool
     precision_bits: int
     approx: tuple = ()
+    chain: tuple[UniPoly, ...] = ()
 
     @property
     def degree(self) -> int:
@@ -78,7 +80,7 @@ class RootSystem:
 
         Raises PrecisionExhausted past PRECISION_CAP_BITS.
         """
-        return isolate_roots(self.minpoly, 2 * self.precision_bits)
+        return isolate_roots(self.minpoly, 2 * self.precision_bits, self.chain)
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -131,7 +133,7 @@ def _candidate_radius(m: UniPoly, re: Fraction, im: Fraction) -> Fraction:
     return b1
 
 
-def isolate_roots(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSystem:
+def isolate_roots(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS, chain: Sequence = ()) -> RootSystem:
     """Isolate all complex roots of a squarefree polynomial in disjoint boxes.
 
     Certification is by counting: each box provably contains at least one
@@ -139,11 +141,12 @@ def isolate_roots(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> R
     each contains exactly one of the deg(m) roots.  Boxes symmetric about
     the real axis contain the real roots (their count is cross-checked
     against the exact Sturm count); the conjugation pairing is certified by
-    mirror overlap.  Precision doubles until everything separates.
+    mirror overlap.  Precision doubles until everything separates.  A
+    caller that has built the Sturm chain of m passes it as ``chain``.
     """
     if not m or m.degree() < 1:
         raise ZeroPolynomial("need a nonconstant polynomial")
-    chain = sturm_chain(m)
+    chain = tuple(chain or sturm_chain(m))
     if chain[0].degree() != m.degree():
         raise NotSquarefree("polynomial has repeated roots")
     n_real = count_real_roots(chain)
@@ -159,6 +162,7 @@ def isolate_roots(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> R
                 totally_imaginary=(n_real == 0),
                 precision_bits=prec,
                 approx=tuple(approx),
+                chain=chain,
             )
         prec *= 2
     raise PrecisionExhausted(f"root isolation failed at {PRECISION_CAP_BITS} bits")
@@ -439,13 +443,13 @@ class QuarticGalois:
     discriminant: Fraction
 
 
-def quartic_galois(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> QuarticGalois:
+def quartic_galois(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS, chain: Sequence = ()) -> QuarticGalois:
     """Galois group of an irreducible quartic via the resolvent cubic.
 
     Returns the label (S4, A4, D4, C4, V4) together with generators acting
     on the root indices of the isolated root system; for the groups that
     stabilize a pairing, the pairing is identified against the rational
-    resolvent root by interval arithmetic.
+    resolvent root by interval arithmetic.  ``chain`` goes to ``isolate_roots``.
     """
     if m.degree() != 4:
         raise DegreeTooSmall("quartic Galois analysis needs degree exactly 4")
@@ -458,7 +462,7 @@ def quartic_galois(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> 
     roots = rational_roots(resolvent)
     if _quartic_reducible(m, p, q, r, roots):
         raise Reducible(f"{m} has a proper rational factor")
-    rs = isolate_roots(m, precision_bits)
+    rs = isolate_roots(m, precision_bits, chain)
     if len(roots) == 0:
         label = "A4" if _is_rational_square(disc) else "S4"
         gens = {
@@ -584,8 +588,9 @@ def obstruction_check(
     """Run the full norm-form obstruction pipeline.
 
     Degree-4 inputs derive their Galois data automatically; higher degrees
-    require it as input.  The roots of m are isolated once (by
-    ``quartic_galois`` or here): tau is their certified conjugation
+    require it as input.  One Sturm chain of m serves the squarefree and
+    real-root checks and the isolation, and the roots of m are isolated
+    once (by ``quartic_galois`` or here): tau is their certified conjugation
     pairing, and the same boxes feed general position.  The certificate is
     monotone: an inconclusive or failing check always yields NO_OBSTRUCTION
     with the check named.
@@ -631,7 +636,7 @@ def obstruction_check(
         if two_d != 4:
             raise GaloisDataMissing("degree > 4 requires explicit Galois data")
         try:
-            qg = quartic_galois(m, precision_bits)
+            qg = quartic_galois(m, precision_bits, chain)
         except Reducible as exc:
             checks.append(CheckRecord("irreducible", "fail", str(exc)))
             return bail()
@@ -640,7 +645,7 @@ def obstruction_check(
     else:
         group = galois.group
         label = galois.label or group.label
-        rs = isolate_roots(m, precision_bits)
+        rs = isolate_roots(m, precision_bits, chain)
     tau = rs.pairing
 
     if not tau.is_involution() or not tau.is_fixed_point_free():

@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import (
     CheckFailed,
+    DimensionMismatch,
     HasFixedPoint,
     NotInGroup,
     NotInvolution,
@@ -219,6 +220,8 @@ def parse_generators(text: str, degree: int | None = None) -> tuple[Perm, ...]:
     if max_point is None:
         pts = [int(p) for p in re.findall(r"\d+", text)]
         max_point = max(pts) if pts else 1
+    if max_point < 1:
+        raise ParseError(f"generators need a positive degree, got {max_point}")
     return tuple(Perm.parse(c, max_point) for c in chunks)
 
 
@@ -485,10 +488,10 @@ def classify_catalog(
     """
     entries = [g for g in catalog if degree is None or g.degree == degree]
     if not entries:
-        raise ValueError("empty catalog selection")
+        raise ParseError("empty catalog selection")
     degs = {g.degree for g in entries}
     if len(degs) > 1:
-        raise ValueError(f"mixed degrees in catalog selection: {sorted(degs)}")
+        raise DimensionMismatch(f"mixed degrees in catalog selection: {sorted(degs)}")
     deg = entries[0].degree
     cols: dict[str, list[str]] = {"fpf": [], "2t": [], "star": [], "ss": []}
     failures = []

@@ -88,6 +88,19 @@ def _format_monomial(exp: Exp) -> str:
     return "*".join(factors)
 
 
+def _format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """The text grammar of nonzero (coefficient, monomial) terms in the given order."""
+    out = ""
+    for coeff, mono in terms:
+        mag = abs(coeff)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        if out:
+            out += f" {'+' if coeff > 0 else '-'} {body}"
+        else:
+            out = body if coeff > 0 else f"-{body}"
+    return out or "0"
+
+
 class Poly:
     """Sparse multivariate polynomial with ``Fraction`` coefficients.
 
@@ -293,23 +306,7 @@ class Poly:
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for i, (exp, coeff) in enumerate(self.sorted_terms()):
-            mono = _format_monomial(exp)
-            mag = abs(coeff)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if i == 0:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"{' + ' if coeff > 0 else ' - '}{body}")
-        return "".join(chunks)
+        return _format_terms((coeff, _format_monomial(exp)) for exp, coeff in self.sorted_terms())
 
     def __repr__(self):
         return f"Poly({str(self)!r})"
@@ -509,28 +506,11 @@ class UniPoly:
         return hash(self.coeffs)
 
     def to_string(self, var: str = "t") -> str:
-        if not self.coeffs:
-            return "0"
-        chunks = []
-        first = True
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-            mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if first:
-                chunks.append(body if c > 0 else f"-{body}")
-                first = False
-            else:
-                chunks.append(f"{' + ' if c > 0 else ' - '}{body}")
-        return "".join(chunks)
+        return _format_terms(
+            (c, "" if k == 0 else (var if k == 1 else f"{var}^{k}"))
+            for k, c in reversed(list(enumerate(self.coeffs)))
+            if c
+        )
 
     def __str__(self):
         return self.to_string()

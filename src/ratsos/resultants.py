@@ -3,9 +3,9 @@
 ``pencil_det`` is the kernel behind the number-field norm forms and the Gram
 shrink line: det(x_1 A_1 + ... + x_k A_k) for square rational matrices is a
 form of degree n, recovered exactly from its values on an integer grid
-(each a fraction-free Bareiss determinant) by interpolation one variable at
-a time.  ``resultant_rational`` and ``discriminant`` eliminate over the
-rationals with the same determinant.
+(each a ``linalg.det``) by interpolation one variable at a time.
+``resultant_rational`` and ``discriminant`` take ``linalg.det`` of the
+Sylvester matrix.
 
 ``resultant`` keeps the Sylvester resultant with multivariate :class:`Poly`
 coefficients, expanded by ``det_ring``, a memoized Laplace expansion that is
@@ -15,39 +15,11 @@ the general-ring reference.
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import Sequence
 
 from .errors import CheckFailed, DimensionMismatch, ZeroPolynomial
+from .linalg import det
 from .poly import Poly, UniPoly
-
-
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (Bareiss); ``m`` is overwritten."""
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, row_k = m[k][k], m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def _integer_scaled(mats: Sequence[Sequence[Sequence]]) -> tuple[list[list[list[int]]], int]:
-    """(D * A_j as integer matrices, D) for the least common denominator D."""
-    fracs = [[[Fraction(x) for x in row] for row in a] for a in mats]
-    den = lcm(*(x.denominator for a in fracs for row in a for x in row))
-    return [[[int(x * den) for x in row] for row in a] for a in fracs], den
 
 
 def _check_square(mats: Sequence[Sequence[Sequence]]) -> int:
@@ -60,13 +32,6 @@ def _check_square(mats: Sequence[Sequence[Sequence]]) -> int:
         if len(a) != n or any(len(row) != n for row in a):
             raise DimensionMismatch(f"matrices must all be {n}x{n}")
     return n
-
-
-def det_rational(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square rational matrix, exactly."""
-    n = _check_square([rows])
-    (m,), den = _integer_scaled([rows])
-    return Fraction(_bareiss_det(m), den**n)
 
 
 def _interpolate(values: Sequence) -> list[Fraction]:
@@ -92,22 +57,23 @@ def pencil_det(mats: Sequence[Sequence[Sequence]]) -> Poly:
     The determinant is a form of degree n in k variables, so its
     dehomogenization p(y) = det(A_1 + y_2 A_2 + ... + y_k A_k) has degree
     at most n in each y_j and is determined by its values on the grid
-    {0..n}^(k-1).  Each value is an integer Bareiss determinant (the A_j
-    are scaled by their common denominator); the coefficients come back
-    by interpolating one variable at a time, and x_1 restores the degree.
+    {0..n}^(k-1).  Each value is a ``linalg.det``; the coefficients come
+    back by interpolating one variable at a time, and x_1 restores the
+    degree.
     """
     n = _check_square(mats)
-    scaled, den = _integer_scaled(mats)
-    k = len(scaled)
+    # integral entries become ints, so integer pencils are summed without Fractions
+    mats = [[[x.numerator if x.denominator == 1 else x for x in map(Fraction, row)] for row in a] for a in mats]
+    k = len(mats)
     grid: dict[tuple[int, ...], Fraction] = {}
     for point in product(range(n + 1), repeat=k - 1):
-        m = [list(row) for row in scaled[0]]
-        for y, a in zip(point, scaled[1:]):
+        m = [list(row) for row in mats[0]]
+        for y, a in zip(point, mats[1:]):
             if y:
                 for row, arow in zip(m, a):
                     for j, v in enumerate(arow):
                         row[j] += y * v
-        grid[point] = Fraction(_bareiss_det(m))
+        grid[point] = det(m)
     for axis in range(k - 1):  # values along this axis -> coefficients in y_axis
         lines: dict[tuple[int, ...], list] = {}
         for point, v in grid.items():
@@ -116,14 +82,13 @@ def pencil_det(mats: Sequence[Sequence[Sequence]]) -> Poly:
         for rest, values in lines.items():
             for e, c in enumerate(_interpolate(values)):
                 grid[rest[:axis] + (e,) + rest[axis:]] = c
-    scale = Fraction(1, den**n)
     terms = {}
     for exp, c in grid.items():
         if not c:
             continue
         if sum(exp) > n:
             raise CheckFailed(f"interpolated pencil determinant has a term {exp} above degree {n}")
-        terms[(n - sum(exp),) + exp] = c * scale
+        terms[(n - sum(exp),) + exp] = c
     return Poly(k, terms)
 
 
@@ -133,7 +98,7 @@ def det_ring(rows: list[list], zero):
     Entries need ``+``, ``*``, unary ``-`` and truthiness (zero is falsy).
     Exponential in the matrix size (2^n minors), so it is a reference for
     small matrices over general rings; rational matrices and linear pencils
-    go through ``det_rational`` and ``pencil_det``.
+    go through ``linalg.det`` and ``pencil_det``.
     """
     n = len(rows)
     for row in rows:
@@ -235,7 +200,7 @@ def resultant_rational(a: UniPoly, b: UniPoly) -> Fraction:
         return a.coeffs[0] ** n
     if n == 0:
         return b.coeffs[0] ** m
-    return det_rational(sylvester_matrix(a.coeffs, b.coeffs, Fraction(0)))
+    return det(sylvester_matrix(a.coeffs, b.coeffs, Fraction(0)))
 
 
 def discriminant(p: UniPoly) -> Fraction:

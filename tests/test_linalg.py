@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ratsos.errors import NotPsd
+from ratsos.errors import DimensionMismatch, NotPsd
 from ratsos.linalg import (
     PsdVerdict,
     SymMatrix,
+    det,
     ldl_sos,
     lin_solve,
     nullspace,
@@ -15,6 +17,7 @@ from ratsos.linalg import (
     rank,
     rref,
 )
+from ratsos.resultants import det_ring
 
 
 def frac_rows(rows):
@@ -61,6 +64,118 @@ def test_lin_solve():
     assert sol is not None and sol[0] + sol[1] == 2
     sol, free = lin_solve([[1, 1], [1, 1]], [0, 1])
     assert sol is None
+
+
+def _random_matrix(rng: random.Random, n: int) -> list[list[Fraction]]:
+    return [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+
+
+def test_det_against_det_ring():
+    assert det([[0, 1], [1, 0]]) == -1  # needs a row swap
+    assert det([[1, 2], [2, 4]]) == 0
+    assert det([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]) == Fraction(1, 3)
+    rng = random.Random(3)
+    for _ in range(30):
+        rows = _random_matrix(rng, rng.randint(1, 6))
+        if rng.random() < 0.3:
+            rows[-1] = list(rows[0])  # singular
+        assert det(rows) == det_ring(rows, Fraction(0))
+    for bad in ([], [[1, 2]], [[1], [2, 3]]):
+        with pytest.raises(DimensionMismatch):
+            det(bad)
+
+
+# -- the elimination kernel against Gauss-Jordan over Fraction ---------------
+
+
+def _gauss_jordan(rows):
+    """Reduced row echelon form over ``Fraction`` by textbook Gauss-Jordan."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+_BIG = 10**30
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+)
+
+
+@st.composite
+def _matrices(draw, square=False):
+    """Tall, wide or square matrices; some with zero rows and columns, repeated
+    rows and a zero in the first pivot position, so a swap is needed."""
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    for kind in draw(st.lists(st.sampled_from(["zero row", "zero column", "repeat", "swap"]), max_size=3)):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        if kind == "zero row":
+            rows[i] = [0] * ncols
+        elif kind == "zero column":
+            c = draw(st.integers(0, ncols - 1))
+            for row in rows:
+                row[c] = 0
+        elif kind == "repeat":
+            rows[i] = list(rows[j])
+        else:
+            rows[0][0] = 0
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_kernel_matches_gauss_jordan(rows):
+    expected, pivots = _gauss_jordan(rows)
+    assert rref(rows) == (expected, pivots)
+    assert rank(rows) == len(pivots)
+    ncols = len(rows[0])
+    free = [c for c in range(ncols) if c not in pivots]
+    kernel = []
+    for fc in free:
+        v = [Fraction(int(c == fc)) for c in range(ncols)]
+        for i, pc in enumerate(pivots):
+            v[pc] = -expected[i][fc]
+        kernel.append(v)
+    assert nullspace(rows) == (_gauss_jordan(kernel)[0] if kernel else [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(), st.data())
+def test_lin_solve_matches_gauss_jordan(rows, data):
+    rhs = data.draw(st.lists(_entries, min_size=len(rows), max_size=len(rows)))
+    solution, free = lin_solve(rows, rhs)
+    a_rank = len(_gauss_jordan(rows)[1])
+    consistent = len(_gauss_jordan([row + [b] for row, b in zip(rows, rhs)])[1]) == a_rank
+    assert (solution is not None) == consistent
+    if consistent:
+        assert free == len(rows[0]) - a_rank
+        assert [sum(Fraction(a) * x for a, x in zip(row, solution)) for row in rows] == rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(square=True))
+def test_det_matches_laplace_expansion(rows):
+    assert det(rows) == det_ring([[Fraction(x) for x in row] for row in rows], Fraction(0))
 
 
 def test_sym_matrix_validation():

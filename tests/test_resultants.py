@@ -10,7 +10,6 @@ from ratsos.cli import _parse_gram_file
 from ratsos.errors import CheckFailed, DimensionMismatch, ZeroPolynomial
 from ratsos.poly import Poly, UniPoly
 from ratsos.resultants import (
-    det_rational,
     det_ring,
     discriminant,
     pencil_det,
@@ -127,18 +126,6 @@ def _random_matrix(rng: random.Random, n: int) -> list[list[Fraction]]:
     return [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
 
 
-def test_det_rational_against_det_ring():
-    assert det_rational([[0, 1], [1, 0]]) == -1  # needs a row swap
-    assert det_rational([[1, 2], [2, 4]]) == 0
-    assert det_rational([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]) == Fraction(1, 3)
-    rng = random.Random(3)
-    for _ in range(30):
-        rows = _random_matrix(rng, rng.randint(1, 6))
-        if rng.random() < 0.3:
-            rows[-1] = list(rows[0])  # singular
-        assert det_rational(rows) == det_ring(rows, Fraction(0))
-
-
 def test_pencil_det_against_det_ring():
     rng = random.Random(5)
     for _ in range(25):
@@ -164,7 +151,7 @@ def test_pencil_det_rejects_mismatched_shapes():
 
 def test_pencil_det_values_of_too_high_degree_raise(monkeypatch):
     # squared 1x1 "determinants" (y2 + y3)^2 interpolate to y2 + 2 y2 y3 + y3 on {0, 1}^2
-    monkeypatch.setattr(resultants, "_bareiss_det", lambda m: m[0][0] ** 2)
+    monkeypatch.setattr(resultants, "det", lambda m: m[0][0] ** 2)
     with pytest.raises(CheckFailed, match="above degree 1"):
         pencil_det([[[0]], [[1]], [[1]]])
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ratsos import boundary, gram, linalg, numfield, permgroup, resultants, sturm
-from ratsos.cli import EXIT_INCONCLUSIVE, EXIT_NEGATIVE, EXIT_OK, run
+from ratsos.cli import EXIT_INCONCLUSIVE, EXIT_NEGATIVE, EXIT_OK, _parse_gram_file, run
 from ratsos.poly import UniPoly
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -139,6 +139,49 @@ def test_determinants_avoid_the_laplace_expansion(monkeypatch, argv, exit_code):
 
 
 @pytest.mark.parametrize(
+    "argv, reductions",
+    [
+        # two reductions in each of the two nullspaces, one in the kernel Gram solve
+        (["boundary", "demo"], 5),
+        (["boundary", "construct", "--points", str(GOLDEN / "demo_points.txt"), "--tuple", "1,1,1,1,4,4,4,4,-2"], 5),
+        # the Gram solve; the basis rank check does no back-substitution
+        (["gram", "extract-q", "--form", "x1^4+x2^4", "--basis", "x1^2;x2^2"], 1),
+    ],
+    ids=["demo", "construct", "extract-q"],
+)
+def test_rank_only_callers_do_no_back_substitution(monkeypatch, argv, reductions):
+    calls = count_calls(monkeypatch, linalg, "rref")
+    assert run(argv).exit_code == EXIT_OK
+    assert len(calls) == reductions
+
+
+def _golden_shrink():
+    g1, g2 = (_parse_gram_file((GOLDEN / f"shrink-rational-{k}.txt").read_text()) for k in ("g1", "g2"))
+    return gram.shrink_span(g1, g2)
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        lambda: numfield.norm_form(UniPoly.parse("t^6+t+1")),
+        lambda: resultants.discriminant(UniPoly.parse("t^4+t+1")),
+        _golden_shrink,
+    ],
+    ids=["norm_form", "discriminant", "shrink_span"],
+)
+def test_determinants_come_from_the_elimination_kernel(monkeypatch, stage):
+    dets = count_calls(monkeypatch, linalg, "det")
+    stage()
+    assert dets
+
+
+def test_resultants_has_no_elimination_loop_of_its_own():
+    names = {name for name, value in vars(resultants).items() if callable(value)}
+    assert resultants.det is linalg.det
+    assert not names & {"_bareiss_det", "_integer_scaled", "det_rational"}
+
+
+@pytest.mark.parametrize(
     "argv, exit_code",
     [
         (["field", "obstruct", "--minpoly", "t^6+t^5+t^4+t^3+t^2+t+1", "--galois-gens", "(1 3 6 2 4 5)"],
@@ -153,6 +196,15 @@ def test_field_obstruct_isolates_the_roots_once(monkeypatch, argv, exit_code):
     assert run(argv).exit_code == exit_code
     assert len(isolations) == 1
     assert len(real_counts) == 2  # the totally-imaginary check and the isolation's cross-check
+
+
+def test_refined_root_systems_reuse_the_sturm_chain(monkeypatch):
+    roots = numfield.isolate_roots(UniPoly.parse("t^4+2"))
+    chains = count_calls(monkeypatch, sturm, "sturm_chain")
+    refined = roots.refined().refined()
+    assert refined.precision_bits == 4 * roots.precision_bits
+    assert refined.chain == roots.chain
+    assert len(chains) == 0
 
 
 def _shrink_argv(kind):
@@ -198,7 +250,7 @@ def test_gram_shrink_refines_with_one_sturm_count(monkeypatch):
     [
         # rational_roots of the resolvent cubic and of m take the only gcds
         (["field", "obstruct", "--minpoly", "t^4+t+1"], EXIT_OK,
-         {"gcd": 2, "is_squarefree": 0, "sturm_chain": 2}),
+         {"gcd": 2, "is_squarefree": 0, "sturm_chain": 1}),
         (["field", "galois", "--minpoly", "t^4+2"], EXIT_OK, {"gcd": 2, "is_squarefree": 0, "sturm_chain": 1}),
         # one chain of det Q(s) isolates and refines s*; rational_roots takes the gcd
         (_shrink_argv("generic"), EXIT_INCONCLUSIVE, {"gcd": 1, "is_squarefree": 0, "sturm_chain": 1}),
