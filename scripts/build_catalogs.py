@@ -33,48 +33,30 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ratsos.permgroup import GroupDesc, Perm, classify_catalog, format_catalog, parse_catalog
+from ratsos.permgroup import (
+    GroupDesc,
+    Perm,
+    classify_catalog,
+    compose,
+    format_catalog,
+    invert,
+    parse_catalog,
+    schreier_sims,
+)
 
 # ---------------------------------------------------------------------------
-# tuple-level permutation helpers (0-indexed images)
+# tuple-level helpers (0-indexed images; composition and the stabilizer chain
+# come from ratsos.permgroup)
 
 
-def compose(a, b):
-    """(a o b)(x) = a(b(x))."""
-    return tuple(a[b[i]] for i in range(len(a)))
+def group_elements(gens):
+    """The group generated by image tuples, as a frozenset of image tuples."""
+    return frozenset(schreier_sims(gens, len(gens[0])).elements())
 
 
-def inverse(a):
-    inv = [0] * len(a)
-    for i, j in enumerate(a):
-        inv[j] = i
-    return tuple(inv)
-
-
-def closure(gens):
-    gens = [tuple(g) for g in gens]
-    n = len(gens[0])
-    ident = tuple(range(n))
-    seen = {ident}
-    queue = [ident]
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
-        for g in gens:
-            nxt = compose(g, cur)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
-
-
-def from_cycles(n, *cycles):
-    img = list(range(n))
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
-            img[a] = b
-    return tuple(img)
+def images(cycles, n):
+    """Image tuple of a permutation in 1-based cycle notation on n points."""
+    return Perm.parse(cycles, n).images
 
 
 def perm_order(p):
@@ -144,17 +126,16 @@ def invariant_key(h, n):
 def greedy_generating_set(h):
     """Deterministic generating set by greedy scan over sorted elements."""
     n = len(next(iter(h)))
-    ident = tuple(range(n))
     gens = []
-    generated = frozenset({ident})
+    generated = schreier_sims(gens, n)
     for e in sorted(h):
         if e in generated:
             continue
         gens.append(e)
-        generated = closure(gens)
-        if len(generated) == len(h):
+        generated = schreier_sims(gens, n)
+        if generated.order == len(h):
             return gens
-    assert len(generated) == len(h)
+    assert generated.order == len(h)
     return gens
 
 
@@ -166,7 +147,7 @@ def small_generating_set(h, greedy=None):
     if len(h) <= 2500:
         by_order = sorted(h, key=lambda p: (-perm_order(p), p))[:12]
         for a, b in combinations(by_order, 2):
-            if len(closure([a, b])) == len(h):
+            if schreier_sims([a, b], len(a)).order == len(h):
                 return [a, b]
     return greedy
 
@@ -207,7 +188,7 @@ class ClassedCollection:
 
     def _is_conjugate(self, hgens, hsize, rep):
         for g in self.ambient:
-            gi = inverse(g)
+            gi = invert(g)
             if all(compose(g, compose(x, gi)) in rep for x in hgens):
                 return True  # g<h>g^-1 <= rep and sizes match, so equal
         return False
@@ -243,7 +224,7 @@ def all_subgroup_classes(elements, n):
             for c, gen in cyclics:
                 if gen in h:
                     continue
-                j = closure(hgens + [gen])
+                j = group_elements(hgens + [gen])
                 if classes.add(j, greedy_generating_set(j)):
                     new_frontier.append(j)
         frontier = new_frontier
@@ -285,7 +266,7 @@ def transitive_subgroup_classes(w_elements, n, syl2_elements=None, log=lambda *a
             for c, gen in cyclics:
                 if gen in h:
                     continue
-                j = closure(hgens + [gen])
+                j = group_elements(hgens + [gen])
                 if classes.add(j, greedy_generating_set(j)):
                     new_frontier.append(j)
         frontier = new_frontier
@@ -316,9 +297,9 @@ def wreath_gens(block, nblocks, inner_gens, outer_gens):
 
 
 S2 = [(1, 0)]
-S3_GENS = [from_cycles(3, (0, 1, 2)), from_cycles(3, (0, 1))]
-S4_GENS = [from_cycles(4, (0, 1, 2, 3)), from_cycles(4, (0, 1))]
-D4_GENS = [from_cycles(4, (0, 1, 2, 3)), from_cycles(4, (0, 2))]
+S3_GENS = [images("(1 2 3)", 3), images("(1 2)", 3)]
+S4_GENS = [images("(1 2 3 4)", 4), images("(1 2)", 4)]
+D4_GENS = [images("(1 2 3 4)", 4), images("(1 3)", 4)]
 
 
 def gl32_action(matrix_cols):
@@ -338,8 +319,8 @@ def translation(v):
 
 
 def primitives_degree8():
-    s8 = [from_cycles(8, tuple(range(8))), from_cycles(8, (0, 1))]
-    a8 = [from_cycles(8, (0, 1, 2)), from_cycles(8, (1, 2, 3, 4, 5, 6, 7))]
+    s8 = [images("(1 2 3 4 5 6 7 8)", 8), images("(1 2)", 8)]
+    a8 = [images("(1 2 3)", 8), images("(2 3 4 5 6 7 8)", 8)]
     # PSL(2,7) on P^1(F7): points 0..6 field elements, 7 = infinity
     zp1 = tuple([(i + 1) % 7 for i in range(7)] + [7])
     inv_pts = [0] * 8
@@ -361,7 +342,7 @@ def primitives_degree8():
     f56 = [t1, mult_g]
     agammal = [t1, mult_g, frobenius]
     gl32 = [mult_g, transvection]
-    assert len(closure(gl32)) == 168, "GL(3,2) generators wrong"
+    assert schreier_sims(gl32, 8).order == 168, "GL(3,2) generators wrong"
     agl32 = [t1] + gl32
     return {
         "AGL(1,8)": f56,
@@ -388,13 +369,13 @@ def primitives_degree6():
     for z in range(5):
         m[z] = (2 * z) % 5
     pgl25 = psl25 + [tuple(m)]
-    a6 = [from_cycles(6, (0, 1, 2)), from_cycles(6, (1, 2, 3, 4, 5))]
-    s6 = [from_cycles(6, tuple(range(6))), from_cycles(6, (0, 1))]
+    a6 = [images("(1 2 3)", 6), images("(2 3 4 5 6)", 6)]
+    s6 = [images("(1 2 3 4 5 6)", 6), images("(1 2)", 6)]
     return {"PSL(2,5)": psl25, "PGL(2,5)": pgl25, "A6": a6, "S6": s6}
 
 
 def primitives_degree4():
-    a4 = [from_cycles(4, (0, 1, 2)), from_cycles(4, (1, 2, 3))]
+    a4 = [images("(1 2 3)", 4), images("(2 3 4)", 4)]
     return {"A4": a4, "S4": S4_GENS}
 
 
@@ -430,7 +411,7 @@ def sn_conjugacy_dedup(candidates, n, log):
         dup = False
         for other, _ in bucket:
             for g in all_perms:
-                gi = inverse(g)
+                gi = invert(g)
                 if all(compose(g, compose(x, gi)) in other for x in gens):
                     dup = True
                     break
@@ -446,10 +427,10 @@ def sn_conjugacy_dedup(candidates, n, log):
 def collect_degree(n, containers, primitive_map, log):
     candidates = []
     for name, (w_gens, syl_gens) in containers.items():
-        w = closure(w_gens)
+        w = group_elements(w_gens)
         syl = None
         if syl_gens is not None:
-            syl = closure(syl_gens)
+            syl = group_elements(syl_gens)
             assert syl <= w, f"Sylow not inside {name}"
             two_part = 1
             m = len(w)
@@ -462,7 +443,7 @@ def collect_degree(n, containers, primitive_map, log):
         for h in cc.reps:
             candidates.append((h, small_generating_set(h, cc.gens[h])))
     for name, gens in primitive_map.items():
-        h = closure(gens)
+        h = group_elements(gens)
         assert len(h) == EXPECTED_ORDERS[name], f"{name}: order {len(h)} != {EXPECTED_ORDERS[name]}"
         assert is_transitive_set(h, n), f"{name} not transitive"
         candidates.append((h, [tuple(g) for g in gens]))

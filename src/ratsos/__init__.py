@@ -71,6 +71,7 @@ from .permgroup import (
     GroupAnalysis,
     GroupDesc,
     Perm,
+    StabChain,
     char_number,
     classify,
     classify_catalog,
@@ -81,6 +82,7 @@ from .permgroup import (
     load_bundled_catalog,
     orbit_closure,
     parse_catalog,
+    schreier_sims,
 )
 from .poly import Poly, UniPoly, monomials
 from .resultants import discriminant, pencil_det, resultant, resultant_rational

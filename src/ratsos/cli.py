@@ -139,7 +139,7 @@ def cmd_groups(args) -> CommandResult:
         group = GroupDesc.from_text(args.gens, args.degree)
         degree = group.degree
         inv = Perm.parse(args.inv, degree)
-        c = char_number(group, inv, bound=args.enum_bound)
+        c = char_number(group, inv)
         star = c == degree - 1
         starstar = 2 * c > degree
         report = f"c={c}, (*) {'yes' if star else 'no'}, (**) {'yes' if starstar else 'no'}"
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--precision-bits", type=int, default=128, help="working precision (default 128)")
     parser.add_argument("--enum-bound", type=_positive_int, default=DEFAULT_ENUM_BOUND,
-                        help="group enumeration bound (default 10^6)")
+                        help="largest group order listed element by element (default 10^6)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     groups = sub.add_parser("groups", help="permutation group classification")

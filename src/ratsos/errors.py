@@ -58,7 +58,7 @@ class GaloisDataMissing(RatsosError):
 
 
 class OrderExceeded(RatsosError):
-    """Group enumeration aborted; carries the partial element count."""
+    """Group order past the enumeration bound; the count reported is ``bound + 1``."""
 
     def __init__(self, partial_count: int, bound: int):
         super().__init__(f"group order exceeds bound {bound} (found {partial_count} elements)")

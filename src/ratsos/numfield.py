@@ -30,9 +30,8 @@ from .errors import (
     Reducible,
     ZeroPolynomial,
 )
-from .errors import OrderExceeded
 from .intervals import Box, Interval, det3_box, eval_unipoly_box
-from .permgroup import GroupDesc, Perm, char_number, enumerate_group
+from .permgroup import GroupDesc, Perm, char_number
 from .poly import Poly, UniPoly
 from .resultants import discriminant, pencil_det
 from .sturm import count_real_roots, rational_roots, sturm_chain
@@ -655,20 +654,20 @@ def obstruction_check(
 
     membership_verified: bool | None
     order: int | None
-    try:
-        elements = enumerate_group(group, enum_bound)
-        order = len(elements)
-        membership_verified = tau in set(elements)
-        if not membership_verified:
-            checks.append(CheckRecord("tau in group", "fail", "tau not in the generated group"))
-            return bail(tau=str(tau), group_label=label, group_order=order, membership_verified=False)
-        checks.append(CheckRecord("tau in group", "pass", f"group order {order}"))
-    except OrderExceeded:
+    chain = group.chain()
+    if chain.order > enum_bound:
         order = None
         membership_verified = False
         checks.append(
             CheckRecord("tau in group", "inconclusive", f"group not enumerable within {enum_bound}")
         )
+    else:
+        order = chain.order
+        membership_verified = tau.images in chain
+        if not membership_verified:
+            checks.append(CheckRecord("tau in group", "fail", "tau not in the generated group"))
+            return bail(tau=str(tau), group_label=label, group_order=order, membership_verified=False)
+        checks.append(CheckRecord("tau in group", "pass", f"group order {order}"))
 
     gp = general_position(rs, lin)
     if gp is GeneralPosition.INCONCLUSIVE:
@@ -682,7 +681,7 @@ def obstruction_check(
         )
     checks.append(CheckRecord("general position", "pass", gp.value))
 
-    c = char_number(group, tau, bound=enum_bound, check_membership=False)
+    c = char_number(group, tau, check_membership=False)
     starstar = 2 * c > two_d
     detail = f"c = {c}, threshold d + 1 = {d + 1}"
     if starstar and membership_verified:

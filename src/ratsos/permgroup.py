@@ -1,5 +1,17 @@
-"""Permutation groups given by generators: orbits, transitivity, and the
-characteristic-number machinery for fixed-point-free involutions.
+"""Permutation groups given by generators: orbits, transitivity, a
+stabilizer chain, and the characteristic-number machinery for
+fixed-point-free involutions.
+
+The stabilizer chain (deterministic Schreier-Sims; Sims 1970, Seress,
+*Permutation Group Algorithms*, 2003, ch. 4) works on 0-indexed image
+tuples.  Level i has a base point b_i and a transversal: for every point of
+the orbit of b_i under the stabilizer of b_0..b_{i-1}, one element mapping
+b_i there.  The group order is the product of the orbit lengths, every
+element is one product u_0 u_1 ... u_{k-1} of transversal elements, and a
+permutation is a member iff sifting it level by level (dividing off the
+transversal element its base image selects) ends in the identity.  Order
+and membership therefore cost polynomial time at any group order; only
+``enumerate_group`` lists elements, and only up to its bound.
 
 The characteristic number c of (G, X, t) is the size of the orbit of a
 point under the conjugacy class of t.  It is computed by closing the set
@@ -10,6 +22,7 @@ Condition (*) is c = |X| - 1 and condition (**) is c > |X|/2.
 
 import re
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -24,6 +37,18 @@ from .errors import (
 )
 
 DEFAULT_ENUM_BOUND = 10**6
+
+
+def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of a∘b, i.e. ``x -> a[b[x]]``."""
+    return tuple(map(a.__getitem__, b))
+
+
+def invert(a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
 
 
 class Perm:
@@ -42,6 +67,13 @@ class Perm:
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
+        """Wrap an image tuple known to be a permutation, without the check."""
+        p = object.__new__(cls)
+        _set_images(p, images)
+        return p
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
@@ -107,13 +139,10 @@ class Perm:
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError("degrees differ")
-        return Perm(tuple(self.images[other.images[i]] for i in range(self.degree)))
+        return Perm._trusted(compose(self.images, other.images))
 
     def inverse(self) -> "Perm":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm(inv)
+        return Perm._trusted(invert(self.images))
 
     def conjugate(self, by: "Perm") -> "Perm":
         """by * self * by^-1."""
@@ -170,6 +199,9 @@ class Perm:
         return f"Perm({str(self)!r})"
 
 
+_set_images = Perm.images.__set__  # the slot's own setter, past the immutability guard
+
+
 @dataclass(frozen=True)
 class GroupDesc:
     """Permutation group on {1..degree} given by generators."""
@@ -191,6 +223,9 @@ class GroupDesc:
     def from_text(cls, gens_text: str, degree: int | None = None, label: str = "") -> "GroupDesc":
         gens = parse_generators(gens_text, degree)
         return cls(gens[0].degree, gens, label)
+
+    def chain(self) -> "StabChain":
+        return schreier_sims([g.images for g in self.generators], self.degree)
 
 
 def parse_generators(text: str, degree: int | None = None) -> tuple[Perm, ...]:
@@ -281,49 +316,173 @@ def is_two_transitive(group: GroupDesc) -> bool:
     return len(orbit) == n * (n - 1)
 
 
+# -- stabilizer chain --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StabChain:
+    """Stabilizer chain of a permutation group on {0..degree-1}: its order,
+    membership by sifting, and its element list.
+
+    ``transversals[i]`` maps each point of the orbit of ``base[i]`` under
+    the stabilizer of ``base[:i]`` to an element (image tuple) sending
+    ``base[i]`` there; ``inverses[i]`` holds the inverses of those elements.
+    """
+
+    degree: int
+    base: Sequence[int]
+    transversals: Sequence[dict[int, tuple[int, ...]]]
+    inverses: Sequence[dict[int, tuple[int, ...]]]
+
+    @property
+    def order(self) -> int:
+        return prod(len(t) for t in self.transversals)
+
+    def sift(self, images: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
+        """Divide off transversal elements from level ``start`` down.
+
+        Returns the residue and the level where sifting stopped
+        (``len(base)`` when every level matched).
+        """
+        for level in range(start, len(self.base)):
+            u_inv = self.inverses[level].get(images[self.base[level]])
+            if u_inv is None:
+                return images, level
+            images = compose(u_inv, images)
+        return images, len(self.base)
+
+    def __contains__(self, images: tuple[int, ...]) -> bool:
+        residue, _ = self.sift(images)
+        return residue == tuple(range(self.degree))
+
+    def elements(self) -> list[tuple[int, ...]]:
+        """Every element once, as u_0 u_1 ... u_{k-1} over the levels (unsorted)."""
+        elements = [tuple(range(self.degree))]
+        for transversal in reversed(self.transversals):
+            elements = [tuple(map(u.__getitem__, e)) for u in transversal.values() for e in elements]
+        return elements
+
+
+def schreier_sims(gens: Sequence[tuple[int, ...]], degree: int) -> StabChain:
+    """Deterministic Schreier-Sims on image tuples (Seress 2003, §4.2).
+
+    Level i keeps the strong generators that fix ``base[:i]`` and the orbit
+    of ``base[i]`` under them.  A Schreier generator of level i that does
+    not sift to the identity through the levels below is added, as its
+    residue, to every level from i + 1 to where the sift stopped (a new
+    level with the residue's first moved point as base point if it passed
+    them all).  Each (orbit point, generator) pair is tested once: once a
+    Schreier generator lies in the group of the level below it stays
+    there, since orbits and transversal entries only grow.  The chain is
+    complete when no level has an untested pair.
+    """
+    identity = tuple(range(degree))
+    base: list[int] = []
+    strong: list[list[tuple[int, ...]]] = []
+    orbits: list[list[int]] = []
+    transversals: list[dict[int, tuple[int, ...]]] = []
+    inverses: list[dict[int, tuple[int, ...]]] = []
+    tested: list[set[tuple[int, int]]] = []
+    chain = StabChain(degree, base, transversals, inverses)  # a view of the growing lists
+
+    def add_level(g):
+        b = next(x for x in range(degree) if g[x] != x)
+        base.append(b)
+        strong.append([])
+        orbits.append([b])
+        transversals.append({b: identity})
+        inverses.append({b: identity})
+        tested.append(set())
+
+    def add_strong(level, g):
+        gens, orbit = strong[level], orbits[level]
+        transversal, inverse = transversals[level], inverses[level]
+        gens.append(g)
+        old, i = len(orbit), 0
+        while i < len(orbit):  # the new generator on old points, all on new ones
+            for s in gens if i >= old else (g,):
+                x = s[orbit[i]]
+                if x not in transversal:
+                    u = compose(s, transversal[orbit[i]])
+                    transversal[x] = u
+                    inverse[x] = invert(u)
+                    orbit.append(x)
+            i += 1
+
+    def untested_residue(level):
+        transversal, inverse, done = transversals[level], inverses[level], tested[level]
+        for x in orbits[level]:
+            for k, s in enumerate(strong[level]):
+                if (x, k) in done:
+                    continue
+                done.add((x, k))
+                h = compose(inverse[s[x]], compose(s, transversal[x]))
+                residue, stop = chain.sift(h, level + 1)
+                if residue != identity:
+                    return residue, stop
+        return None
+
+    gens = [g for g in gens if g != identity]
+    if gens:
+        add_level(gens[0])
+        for g in gens:
+            add_strong(0, g)
+    level = len(base) - 1
+    while level >= 0:
+        found = untested_residue(level)
+        if found is None:
+            level -= 1
+            continue
+        residue, stop = found
+        if stop == len(base):
+            add_level(residue)
+        for lower in range(level + 1, stop + 1):
+            add_strong(lower, residue)
+        level = stop
+    return StabChain(degree, tuple(base), tuple(transversals), tuple(inverses))
+
+
 def enumerate_group(group: GroupDesc, bound: int = DEFAULT_ENUM_BOUND) -> list[Perm]:
     """All group elements (sorted) when the order is within ``bound``.
 
-    Raises :class:`OrderExceeded` with the partial count once the closure
-    passes the bound.
+    The order is read off the stabilizer chain before any element is
+    built; past the bound :class:`OrderExceeded` reports ``bound + 1``
+    elements found.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    gens = [g.images for g in group.generators]
-    n = group.degree
-    identity = tuple(range(n))
-    seen = {identity}
-    queue = [identity]
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
-        for g in gens:
-            nxt = tuple(g[cur[i]] for i in range(n))
-            if nxt not in seen:
-                if len(seen) >= bound:
-                    raise OrderExceeded(len(seen) + 1, bound)
-                seen.add(nxt)
-                queue.append(nxt)
-    return [Perm(t) for t in sorted(seen)]
+    chain = group.chain()
+    if chain.order > bound:
+        raise OrderExceeded(bound + 1, bound)
+    return list(map(Perm._trusted, sorted(chain.elements())))
 
 
 def fpf_involution_classes(group: GroupDesc, elements: Sequence[Perm]) -> list[Perm]:
     """One representative per conjugacy class of fixed-point-free involutions.
 
     ``elements`` is the sorted element list from :func:`enumerate_group`;
-    classes are closed under conjugation by the generators.  Odd degree
-    yields the empty list.
+    classes are closed under conjugation by the generators, and each is
+    represented by its minimum.  Odd degree yields the empty list.
     """
-    fpf = [p for p in elements if p.is_involution() and p.is_fixed_point_free()]
+    n = group.degree
+    conjugators = [(g.images, invert(g.images)) for g in group.generators]
     reps: list[Perm] = []
-    assigned: set[Perm] = set()
-    for t in fpf:  # elements sorted, so reps are deterministic class minima
-        if t in assigned:
+    assigned: set[tuple[int, ...]] = set()
+    for p in elements:
+        t = p.images
+        if t[0] == 0 or t[t[0]] != 0 or t in assigned:
             continue
-        cls = orbit_closure(group.generators, [t], lambda g, p: g * p * g.inverse())
-        assigned.update(cls)
-        reps.append(t)
+        if any(t[x] == x or t[t[x]] != x for x in range(1, n)):
+            continue
+        reps.append(p)
+        assigned.add(t)
+        cls = [t]
+        for c in cls:
+            for g, g_inv in conjugators:
+                d = compose(g, compose(c, g_inv))
+                if d not in assigned:
+                    assigned.add(d)
+                    cls.append(d)
     return reps
 
 
@@ -337,16 +496,15 @@ def _pair_closure(group: GroupDesc, t: Perm) -> list[tuple[int, int]]:
 def char_number(
     group: GroupDesc,
     t: Perm,
-    bound: int = DEFAULT_ENUM_BOUND,
     check_membership: bool = True,
 ) -> int:
     """Characteristic number c(G, X, t) for a fixed-point-free involution t.
 
     Computed as the closure of the pairs {z, tz} under the generators,
     counting pairs through a base point; the count is checked to be the
-    same at every base point.  Membership of t in the generated group is
-    verified when the group is enumerable within ``bound``; otherwise it is
-    trusted (callers surface an explicit "membership unverified" flag).
+    same at every base point.  With ``check_membership``, t is sifted
+    through the stabilizer chain, at any group order, and
+    :class:`NotInGroup` is raised when it is not an element.
     """
     if t.degree != group.degree:
         raise ValueError("degree mismatch")
@@ -354,14 +512,8 @@ def char_number(
         raise NotInvolution(f"{t} is not an involution")
     if not t.is_fixed_point_free():
         raise HasFixedPoint(f"{t} fixes points {[p + 1 for p in t.fixed_points()]}")
-    if check_membership:
-        try:
-            elements = enumerate_group(group, bound)
-        except OrderExceeded:
-            pass
-        else:
-            if t not in set(elements):
-                raise NotInGroup(f"{t} is not an element of the generated group")
+    if check_membership and t.images not in group.chain():
+        raise NotInGroup(f"{t} is not an element of the generated group")
     pairs = _pair_closure(group, t)
     counts = [0] * group.degree
     for a, b in pairs:
@@ -414,7 +566,7 @@ def classify(group: GroupDesc, bound: int = DEFAULT_ENUM_BOUND) -> GroupAnalysis
     infos = []
     for t in fpf_involution_classes(group, elements):
         # 2-transitive actions reach every pair, so c = n - 1 without closure
-        c = n - 1 if two_trans else char_number(group, t, bound, check_membership=False)
+        c = n - 1 if two_trans else char_number(group, t, check_membership=False)
         infos.append(
             FpfClassInfo(
                 rep=t,

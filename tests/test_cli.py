@@ -40,6 +40,37 @@ def test_groups_char_number():
     assert res.report == "c=2, (*) no, (**) no"
 
 
+def test_groups_char_number_sifts_membership_past_the_bound():
+    # A10 holds no odd involution; the order, 1814400, is past the default bound
+    res = run(["groups", "char-number", "--gens", "(1 2 3),(2 3 4 5 6 7 8 9 10)",
+               "--inv", "(1 2)(3 4)(5 6)(7 8)(9 10)"])
+    assert res.exit_code == EXIT_INPUT
+    assert res.report == "NotInGroup: (1 2)(3 4)(5 6)(7 8)(9 10) is not an element of the generated group"
+    res = run(["--enum-bound", "100", "groups", "char-number", "--gens", "(1 2 3),(2 3 4 5 6 7 8)",
+               "--inv", "(1 2)(3 4)(5 6)(7 8)"])
+    assert res.exit_code == EXIT_OK
+    assert res.report == "c=7, (*) yes, (**) yes"
+
+
+def test_groups_classify_past_the_bound():
+    res = run(["groups", "classify", "--gens", "(1 2 3 4 5 6 7 8 9 10),(1 2)"])
+    assert res.exit_code == EXIT_INPUT
+    assert res.report == "OrderExceeded: group order exceeds bound 1000000 (found 1000001 elements)"
+
+
+def test_field_obstruct_past_the_bound_leaves_membership_unverified():
+    argv = ["field", "obstruct", "--minpoly=t^6+t+1", "--galois-gens=(1 2 3 4 5 6),(1 2)"]
+    res = run(argv)
+    assert res.exit_code == EXIT_OK
+    assert "check tau in group: pass (group order 720)" in res.report.splitlines()
+    res = run(["--enum-bound", "100"] + argv)
+    assert res.exit_code == EXIT_INCONCLUSIVE
+    lines = res.report.splitlines()
+    assert "tau membership in group: UNVERIFIED" in lines
+    assert "check tau in group: inconclusive (group not enumerable within 100)" in lines
+    assert lines[-1] == "conclusion: NoObstruction"
+
+
 def test_groups_char_number_not_involution():
     res = run(["groups", "char-number", "--gens", "(1 2 3 4),(1 3)", "--inv", "(1 2 3)"])
     assert res.exit_code == EXIT_INPUT

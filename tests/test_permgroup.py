@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratsos import permgroup
 from ratsos.errors import CheckFailed, HasFixedPoint, NotInGroup, NotInvolution, OrderExceeded, ParseError
 from ratsos.permgroup import (
     GroupDesc,
     Perm,
+    StabChain,
     act_ordered_pair,
     act_point,
     act_unordered_pair,
@@ -221,3 +223,106 @@ def test_star_chain_invariants_on_catalogs():
                     assert info.satisfies_starstar
                 if a.is_two_transitive:
                     assert info.satisfies_star
+
+
+# -- the stabilizer chain against a breadth-first closure ---------------------
+
+
+def closure(group):
+    """Every element's image tuple, by breadth-first closure under the generators."""
+    identity = tuple(range(group.degree))
+    seen = {identity}
+    queue = [identity]
+    for current in queue:
+        for g in group.generators:
+            nxt = tuple(g.images[x] for x in current)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def fpf_classes_by_element_filter(group, elements):
+    """The class minima as found before the chain: filter, then close each class."""
+    fpf = [p for p in elements if p.is_involution() and p.is_fixed_point_free()]
+    reps, assigned = [], set()
+    for t in fpf:
+        if t not in assigned:
+            assigned.update(orbit_closure(group.generators, [t], lambda g, p: g * p * g.inverse()))
+            reps.append(t)
+    return reps
+
+
+def check_chain_against_closure(group, rng):
+    elements = closure(group)
+    chain = group.chain()
+    assert chain.order == len(elements), group.label
+    listed = enumerate_group(group)
+    assert [p.images for p in listed] == sorted(elements), group.label
+    n = group.degree
+    for _ in range(20):
+        p = list(range(n))
+        rng.shuffle(p)
+        assert (tuple(p) in chain) == (tuple(p) in elements), (group.label, p)
+    for q in rng.sample(sorted(elements), min(5, len(elements))):
+        assert q in chain
+    assert fpf_involution_classes(group, listed) == fpf_classes_by_element_filter(group, listed), group.label
+
+
+def relabelled(group, rng):
+    sigma = list(range(group.degree))
+    rng.shuffle(sigma)
+    by = Perm(sigma)
+    return GroupDesc(group.degree, tuple(g.conjugate(by) for g in group.generators), group.label)
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8])
+def test_chain_matches_the_closure_on_the_bundled_catalogs(degree):
+    rng = random.Random(degree)
+    catalog = load_bundled_catalog(degree)
+    assert len(catalog) == {4: 5, 6: 16, 8: 50}[degree]
+    for group in catalog:
+        check_chain_against_closure(group, rng)
+    for group in catalog:
+        check_chain_against_closure(relabelled(group, rng), rng)
+
+
+@st.composite
+def generator_sets(draw):
+    n = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return GroupDesc(n, tuple(Perm(g) for g in gens))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets(), st.randoms(use_true_random=False))
+def test_chain_matches_the_closure_on_random_generators(group, rng):
+    check_chain_against_closure(group, rng)
+
+
+def test_chain_of_the_trivial_group():
+    chain = G("()", 3).chain()
+    assert chain.base == () and chain.order == 1
+    assert (0, 1, 2) in chain and (1, 0, 2) not in chain
+    assert enumerate_group(G("()", 3)) == [Perm.identity(3)]
+
+
+def test_past_bound_group_fails_before_building_an_element(monkeypatch):
+    def no_listing(chain):
+        raise AssertionError("elements listed past the bound")
+
+    monkeypatch.setattr(StabChain, "elements", no_listing)
+    s12 = G("(1 2 3 4 5 6 7 8 9 10 11 12),(1 2)")
+    assert s12.chain().order == 479001600
+    with pytest.raises(OrderExceeded) as exc:
+        classify(s12)
+    assert str(exc.value) == "group order exceeds bound 1000000 (found 1000001 elements)"
+
+
+def test_membership_is_sifted_at_any_group_order():
+    a10 = G("(1 2 3),(2 3 4 5 6 7 8 9 10)")
+    assert a10.chain().order == 1814400
+    with pytest.raises(NotInGroup):  # an odd involution
+        char_number(a10, Perm.parse("(1 2)(3 4)(5 6)(7 8)(9 10)"))
+    s10 = G("(1 2 3 4 5 6 7 8 9 10),(1 2)")  # order 3628800, past the default bound
+    assert char_number(s10, Perm.parse("(1 2)(3 4)(5 6)(7 8)(9 10)")) == 9

@@ -111,6 +111,23 @@ def test_groups_classify_enumerates_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["field", "obstruct", "--minpoly", "t^4+t+1"], EXIT_OK),
+        (["field", "obstruct", "--minpoly=t^6+t+1", "--galois-gens=(1 2 3 4 5 6),(1 2)"], EXIT_OK),
+        (["groups", "char-number", "--gens", "(1 2 3 4),(1 3)", "--inv", "(1 2)(3 4)"], EXIT_OK),
+    ],
+    ids=["obstruct-quartic", "obstruct-galois-gens", "char-number"],
+)
+def test_order_and_membership_come_from_one_chain(monkeypatch, argv, exit_code):
+    enumerations = count_calls(monkeypatch, permgroup, "enumerate_group")
+    chains = count_method_calls(monkeypatch, permgroup.GroupDesc, "chain")
+    assert run(argv).exit_code == exit_code
+    assert len(enumerations) == 0
+    assert len(chains) == 1
+
+
 def test_boundary_demo_checks_the_hilbert_function_it_computed(monkeypatch):
     monkeypatch.setattr(boundary, "hilbert_function", lambda u_basis: (1, 3, 6, 7, 6, 3, 2, 0))
     res = run(["boundary", "demo"])
