@@ -37,7 +37,7 @@ from .permgroup import (
     parse_catalog,
     parse_generators,
 )
-from .poly import Poly, UniPoly, parse_rational
+from .poly import Poly, UniPoly, _format_monomial, parse_rational
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -88,8 +88,7 @@ def _parse_gram_file(text: str) -> gr.GramPoint:
 def format_gram(point: gr.GramPoint) -> str:
     head = f"gram n={point.nvars} d={point.half_degree}"
     body = "\n".join(" ".join(str(v) for v in row) for row in point.matrix.rows)
-    basis = " ".join("*".join(f"x{i+1}^{e}" if e > 1 else f"x{i+1}" for i, e in enumerate(exp) if e) or "1"
-                     for exp in point.basis())
+    basis = " ".join(_format_monomial(exp) or "1" for exp in point.basis())
     return f"{head}\n# basis: {basis}\n{body}"
 
 

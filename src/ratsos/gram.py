@@ -319,7 +319,7 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
         raise SpansDiffer("no boundary parameter s > 1 on the line (unexpected for a compact face)")
     lo, hi = intervals[0]
     rank_before = v1.rank
-    exact = next((root for root in rational_roots(det_poly) if lo < root <= hi), None)
+    exact = next((root for root in rational_roots(det_poly, chain) if lo < root <= hi), None)
     if exact is None:  # s* is irrational: refinement cannot land on it
         lo, hi = refine_interval(chain, (lo, hi), Fraction(1, 2**64))
         return ShrinkResult(s_interval=(lo, hi), deferred=True, rank_before=rank_before)

@@ -19,11 +19,14 @@ Vec = list[Fraction]
 Mat = list[list[Fraction]]
 
 
-def _combine(a: int, row: list[int], b: int, pivot_row: list[int]) -> tuple[list[int], int]:
-    """(primitive part of a*row - b*pivot_row, its content); the content of a zero row is 1."""
-    new = [a * x - b * y for x, y in zip(row, pivot_row)]
+def _combine(a: int, row: list[int], b: int, pivot_row: list[int], start: int = 0) -> tuple[list[int], int]:
+    """(primitive part of a*row - b*pivot_row, its content); the content of a zero row is 1.
+
+    Both rows must vanish left of column ``start``, which stays zero.
+    """
+    new = [a * x - b * y for x, y in zip(row[start:], pivot_row[start:])]
     g = gcd(*new) or 1
-    return ([v // g for v in new] if g > 1 else new), g
+    return row[:start] + ([v // g for v in new] if g > 1 else new), g
 
 
 def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], list[int], list[int]]:
@@ -49,10 +52,10 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], list
             m[r], m[k] = m[k], m[r]
             up.append(-1)
         p = m[r][c]
-        for i in range(r + 1, len(m)):
+        for i in range(r + 1, len(m)):  # rows r and below are zero left of column c
             if lead := m[i][c]:
                 g = gcd(p, lead)
-                m[i], content = _combine(p // g, m[i], lead // g, m[r])
+                m[i], content = _combine(p // g, m[i], lead // g, m[r], c)
                 up.append(content)
                 down.append(p // g)
         pivots.append(c)

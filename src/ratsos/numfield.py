@@ -411,9 +411,9 @@ def _depress_quartic(m: UniPoly) -> tuple[Fraction, Fraction, Fraction, Fraction
 
 
 def _quartic_reducible(
-    m: UniPoly, p: Fraction, q: Fraction, r: Fraction, resolvent_roots: list[Fraction]
+    m: UniPoly, chain: Sequence, p: Fraction, q: Fraction, r: Fraction, resolvent_roots: list[Fraction]
 ) -> bool:
-    if rational_roots(m):
+    if rational_roots(m, chain):
         return True
     for y0 in resolvent_roots:
         if q != 0:
@@ -448,7 +448,9 @@ def quartic_galois(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS, cha
     Returns the label (S4, A4, D4, C4, V4) together with generators acting
     on the root indices of the isolated root system; for the groups that
     stabilize a pairing, the pairing is identified against the rational
-    resolvent root by interval arithmetic.  ``chain`` goes to ``isolate_roots``.
+    resolvent root by interval arithmetic.  One Sturm chain of m, built
+    here unless the caller passes it as ``chain``, serves the rational-root
+    screen and ``isolate_roots``.
     """
     if m.degree() != 4:
         raise DegreeTooSmall("quartic Galois analysis needs degree exactly 4")
@@ -459,7 +461,8 @@ def quartic_galois(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS, cha
     _, p, q, r = _depress_quartic(m)
     resolvent = UniPoly([4 * p * r - q * q, -4 * r, -p, Fraction(1)])
     roots = rational_roots(resolvent)
-    if _quartic_reducible(m, p, q, r, roots):
+    chain = tuple(chain or sturm_chain(m))
+    if _quartic_reducible(m, chain, p, q, r, roots):
         raise Reducible(f"{m} has a proper rational factor")
     rs = isolate_roots(m, precision_bits, chain)
     if len(roots) == 0:

@@ -8,6 +8,7 @@ in the degree and the coefficient bit size.
 """
 
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import ZeroPolynomial
 from .poly import UniPoly, primitive_vector
@@ -172,7 +173,7 @@ def _simple_roots_mod_prime(monic: list[int], deriv: list[int]) -> tuple[int, li
             return prime, residues
 
 
-def rational_roots(p: UniPoly) -> list[Fraction]:
+def rational_roots(p: UniPoly, chain: Sequence[UniPoly] = ()) -> list[Fraction]:
     """All rational roots of ``p``, ascending, by p-adic lifting (Loos 1983).
 
     Let q be the squarefree primitive integer part of ``p`` without zero
@@ -183,16 +184,18 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
     square the modulus until it exceeds twice the Cauchy bound of P, and
     kept only if P(y) = 0 exactly.  No root modulo that prime proves that
     q has no rational root.  The cost is polynomial in the degree and the
-    bit size of the coefficients.
+    bit size of the coefficients.  A caller that has built the Sturm chain
+    of ``p`` passes it as ``chain``: its first term is the squarefree part.
     """
     if not p:
         raise ZeroPolynomial("zero polynomial")
-    low = next(i for i, a in enumerate(p.coeffs) if a)
+    squarefree = chain[0] if chain else p.squarefree_part()
+    low = next(i for i, a in enumerate(squarefree.coeffs) if a)
     roots = [Fraction(0)] if low else []
-    q = UniPoly(p.coeffs[low:])
+    q = UniPoly(squarefree.coeffs[low:])
     if q.degree() == 0:
         return roots
-    q_int = [int(a) for a in primitive_vector(q.squarefree_part().coeffs)]
+    q_int = [int(a) for a in primitive_vector(q.coeffs)]
     n, c = len(q_int) - 1, q_int[-1]
     monic = [a * c ** (n - 1 - i) for i, a in enumerate(q_int[:-1])] + [1]
     deriv = [i * a for i, a in enumerate(monic)][1:]

@@ -255,7 +255,9 @@ def test_quartic_galois_resolvent_with_two_rational_roots_raises(monkeypatch):
     # 2 and 3 are not squares, so the reducibility screen passes them on
     true_roots = numfield.rational_roots
     monkeypatch.setattr(
-        numfield, "rational_roots", lambda p: [Fraction(2), Fraction(3)] if p.degree() == 3 else true_roots(p)
+        numfield,
+        "rational_roots",
+        lambda p, chain=(): [Fraction(2), Fraction(3)] if p.degree() == 3 else true_roots(p, chain),
     )
     with pytest.raises(CheckFailed, match="2 rational roots"):
         quartic_galois(U("t^4+t+1"))

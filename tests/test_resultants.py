@@ -160,7 +160,7 @@ def test_shrink_pencil_10x10_matches_det_ring(monkeypatch):
     g1, g2 = (_parse_gram_file((GOLDEN / f"shrink-rational-{k}.txt").read_text()) for k in ("g1", "g2"))
     seen = []
     true_rational_roots = gram.rational_roots
-    monkeypatch.setattr(gram, "rational_roots", lambda p: seen.append(p) or true_rational_roots(p))
+    monkeypatch.setattr(gram, "rational_roots", lambda p, chain=(): seen.append(p) or true_rational_roots(p, chain))
     assert gram.shrink_span(g1, g2).s_exact == Fraction(5, 3)
     # both points are positive definite, so the pencil is the full 10x10 line
     q1, q2 = g1.matrix.to_lists(), g2.matrix.to_lists()

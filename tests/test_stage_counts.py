@@ -265,13 +265,13 @@ def test_gram_shrink_refines_with_one_sturm_count(monkeypatch):
 @pytest.mark.parametrize(
     "argv, exit_code, counts",
     [
-        # rational_roots of the resolvent cubic and of m take the only gcds
+        # rational_roots of m reads the chain of m; the resolvent cubic takes the only gcd
         (["field", "obstruct", "--minpoly", "t^4+t+1"], EXIT_OK,
-         {"gcd": 2, "is_squarefree": 0, "sturm_chain": 1}),
-        (["field", "galois", "--minpoly", "t^4+2"], EXIT_OK, {"gcd": 2, "is_squarefree": 0, "sturm_chain": 1}),
-        # one chain of det Q(s) isolates and refines s*; rational_roots takes the gcd
-        (_shrink_argv("generic"), EXIT_INCONCLUSIVE, {"gcd": 1, "is_squarefree": 0, "sturm_chain": 1}),
-        (_shrink_argv("rational"), EXIT_OK, {"gcd": 1, "is_squarefree": 0, "sturm_chain": 1}),
+         {"gcd": 1, "is_squarefree": 0, "sturm_chain": 1}),
+        (["field", "galois", "--minpoly", "t^4+2"], EXIT_OK, {"gcd": 1, "is_squarefree": 0, "sturm_chain": 1}),
+        # one chain of det Q(s) isolates s*, finds it when rational, and refines it otherwise
+        (_shrink_argv("generic"), EXIT_INCONCLUSIVE, {"gcd": 0, "is_squarefree": 0, "sturm_chain": 1}),
+        (_shrink_argv("rational"), EXIT_OK, {"gcd": 0, "is_squarefree": 0, "sturm_chain": 1}),
     ],
     ids=["obstruct-quartic", "galois-d4", "shrink-generic", "shrink-rational"],
 )

@@ -103,6 +103,8 @@ def test_rational_roots_match_divisor_oracle(cofactor, planted, zero_roots):
     roots = rational_roots(p)
     assert roots == _divisor_oracle(p)
     assert set(planted) <= set(roots)
+    # the squarefree part a caller's Sturm chain holds gives the same roots
+    assert rational_roots(p, sturm_chain(p)) == roots
 
 
 def test_rational_roots_planted_in_large_coefficients():
@@ -117,7 +119,7 @@ def test_rational_roots_planted_in_large_coefficients():
         for r in planted + planted[:1]:  # one planted root twice
             p = p * UniPoly([-r.numerator, r.denominator])
         assert max(len(str(abs(int(c)))) for c in p.coeffs) >= 30
-        assert rational_roots(p) == sorted(set(planted))
+        assert rational_roots(p) == rational_roots(p, sturm_chain(p)) == sorted(set(planted))
 
 
 def test_no_root_mod_p_proves_no_rational_root():
