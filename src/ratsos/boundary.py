@@ -272,20 +272,23 @@ def hilbert_function(u_basis: Sequence[Poly]) -> tuple[int, ...]:
     """Dimensions of (A/I)_k for k = 0..7, I the ideal generated by the cubics.
 
     dim (A/I)_k = dim A_k - rank{x^gamma u : |gamma| = k - 3}, exactly.
+    Each u is scaled to integers once; the row of x^gamma u places its
+    coefficients at the columns of the cubic monomials shifted by gamma.
     """
-    dims = []
-    for k in range(8):
-        dim_ak = len(monomials(3, k))
-        if k < 3:
-            dims.append(dim_ak)
-            continue
+    cubics = [[int(c) for c in primitive_vector(u.coeff_vector(CUBICS))] for u in u_basis]
+    dims = [len(monomials(3, k)) for k in range(3)]
+    for k in range(3, 8):
         big = monomials(3, k)
+        column = {e: j for j, e in enumerate(big)}
         rows = []
         for gamma in monomials(3, k - 3):
-            shift = Poly.monomial(gamma)
-            for u in u_basis:
-                rows.append((shift * u).coeff_vector(big))
-        dims.append(dim_ak - rank(rows))
+            cols = [column[tuple(a + b for a, b in zip(e, gamma))] for e in CUBICS]
+            for coeffs in cubics:
+                row = [0] * len(big)
+                for j, c in zip(cols, coeffs):
+                    row[j] = c
+                rows.append(row)
+        dims.append(len(big) - rank(rows))
     return tuple(dims)
 
 

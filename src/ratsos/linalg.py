@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals.
 
 One fraction-free elimination on primitive integer rows (``_echelon``)
-gives every rank, reduced row echelon form, kernel, linear solve and
-determinant in the toolkit; ``psd_check`` decides positive semidefiniteness
+gives every reduced row echelon form, kernel, linear solve and determinant
+in the toolkit.  ``rank`` first eliminates once modulo the prime 2^61 - 1:
+full rank there means a minor that is nonzero mod p, hence a nonzero
+integer minor, so min(rows, columns) is the exact rank; any smaller count
+is settled by ``_echelon``.  ``psd_check`` decides positive semidefiniteness
 without tolerances by recursive Schur complements, returning either an
 LDL^T factorization with nonnegative pivots or an explicit rational witness
 vector ``v`` with ``v^T M v < 0``.
@@ -29,6 +32,13 @@ def _combine(a: int, row: list[int], b: int, pivot_row: list[int], start: int = 
     return row[:start] + ([v // g for v in new] if g > 1 else new), g
 
 
+def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """(each row times the lcm of its denominators, those multipliers); ranks are unchanged."""
+    vals = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
+    down = [lcm(*(v.denominator for v in row)) for row in vals]
+    return [[v.numerator * (den // v.denominator) for v in row] for row, den in zip(vals, down)], down
+
+
 def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], list[int], list[int]]:
     """Fraction-free forward elimination: (nonzero echelon rows, pivot columns, up, down).
 
@@ -38,9 +48,7 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], list
     prod(down) / prod(up): a full-rank square matrix has
     det = prod(up) * prod(pivots) / prod(down).
     """
-    vals = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
-    down = [lcm(*(v.denominator for v in row)) for row in vals]
-    m = [[v.numerator * (den // v.denominator) for v in row] for row, den in zip(vals, down)]
+    m, down = _integer_rows(rows)
     up: list[int] = []
     pivots: list[int] = []
     for c in range(len(m[0]) if m else 0):
@@ -76,8 +84,41 @@ def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
     return [[Fraction(v, row[c]) for v in row] for row, c in zip(red, pivots)], pivots
 
 
+_PRIME = (1 << 61) - 1
+
+
+def _rank_mod_prime(m: list[list[int]]) -> int:
+    """Rank of an integer matrix modulo ``_PRIME``, a lower bound on its rank over Q."""
+    m = [[v % _PRIME for v in row] for row in m]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        inv = pow(m[r][c], -1, _PRIME)
+        pivot_row = m[r][c:]
+        for i in range(r + 1, len(m)):
+            if lead := m[i][c] * inv % _PRIME:
+                m[i][c:] = [(x - lead * y) % _PRIME for x, y in zip(m[i][c:], pivot_row)]
+        r += 1
+        if r == len(m):
+            break
+    return r
+
+
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(_echelon(rows)[1])
+    """Exact rank over Q.
+
+    A rank modulo 2^61 - 1 equal to min(rows, columns) is certified
+    one-sidedly: a minor that is nonzero mod p is nonzero over the
+    integers.  Any smaller count falls back to exact elimination.
+    """
+    m, _ = _integer_rows(rows)
+    full = min(len(m), len(m[0]) if m else 0)
+    if _rank_mod_prime(m) == full:
+        return full
+    return len(_echelon(m)[1])
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratsos import boundary
+from ratsos import boundary, linalg
 from ratsos.boundary import (
     LinearFunctional,
     NinePointConfig,
@@ -218,6 +218,49 @@ def test_hilbert_function_demo():
     assert hilbert_function([x1**3, x2**3, x3**3]) == (1, 3, 6, 7, 6, 3, 1, 0)
     h = hilbert_function([x1**3, x1**2 * x2, x1**2 * x3])
     assert h[7] != 0  # common zero line x1 = 0
+
+
+def _reference_hilbert(u_basis):
+    """The Hilbert function from Poly products and exact elimination on every piece."""
+    dims = []
+    for k in range(8):
+        big = monomials(3, k)
+        shifts = monomials(3, k - 3) if k >= 3 else ()
+        rows = [(Poly.monomial(g) * u).coeff_vector(big) for g in shifts for u in u_basis]
+        dims.append(len(big) - len(linalg._echelon(rows)[1]))
+    return tuple(dims)
+
+
+def _mapped_demo_kernel(rng, height):
+    """Kernel cubics of the demo nine points under a projective map of the given height."""
+    while True:
+        mat = [[Fraction(rng.choice((-1, 1)) * rng.randint(height // 2, height), rng.randint(height // 2, height))
+                for _ in range(3)] for _ in range(3)]
+        if linalg.det(mat):
+            break
+    pts = NinePointConfig.from_rows(
+        [[sum(mat[i][j] * p[j] for j in range(3)) for i in range(3)] for p in demo_points().points]
+    )
+    return kernel_cubics(moment_matrix(functional_from_tuple(pts, demo_tuple())))
+
+
+def test_hilbert_function_matches_the_exact_reference():
+    rng = random.Random(104)
+    cases = [[P1, P2, P3], [Fraction(2, 3) * P1, P2, Fraction(-1, 5) * P3]]
+    cases += [_mapped_demo_kernel(rng, 10**4) for _ in range(3)]
+    for u_basis in cases:
+        assert hilbert_function(u_basis) == _reference_hilbert(u_basis) == (1, 3, 6, 7, 6, 3, 1, 0)
+    # a common zero (or a dependent triple) keeps the degree-7 piece below full rank: it falls back too
+    x1, x2, x3 = (Poly.variable(i, 3) for i in (1, 2, 3))
+    for u_basis in (
+        [x1**3, x1**2 * x2, x1**2 * x3],  # the line x1 = 0
+        [x1**3, x2**3, x1 * x2 * x3],  # the point (0:0:1)
+        [P1, P2, Fraction(1, 3) * P1 - Fraction(5, 7) * P2],  # dependent, non-integer coefficients
+        [P1, P2, Poly.zero(3)],
+    ):
+        h = hilbert_function(u_basis)
+        assert h == _reference_hilbert(u_basis)
+        assert h[7] != 0
 
 
 def test_hilbert_function_gl3_invariance():

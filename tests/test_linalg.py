@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratsos import linalg
 from ratsos.errors import DimensionMismatch, NotPsd
 from ratsos.linalg import (
     PsdVerdict,
@@ -157,6 +158,61 @@ def test_kernel_matches_gauss_jordan(rows):
             v[pc] = -expected[i][fc]
         kernel.append(v)
     assert nullspace(rows) == (_gauss_jordan(kernel)[0] if kernel else [])
+
+
+# -- rank: one elimination mod 2^61 - 1, exact elimination unless full -------
+
+
+def _exact_rank(rows):
+    return len(linalg._echelon(rows)[1])
+
+
+@st.composite
+def _low_rank_products(draw):
+    """B C with B n x k and C k x m, so the rank is at most k < min(n, m)."""
+    n, m = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    k = draw(st.integers(1, min(n, m) - 1))
+    b = draw(st.lists(st.lists(_entries, min_size=k, max_size=k), min_size=n, max_size=n))
+    c = draw(st.lists(st.lists(_entries, min_size=m, max_size=m), min_size=k, max_size=k))
+    return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*c)] for row in b]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_matrices(), _low_rank_products()))
+def test_rank_matches_exact_elimination(rows):
+    assert rank(rows) == _exact_rank(rows)
+
+
+P = linalg._PRIME
+
+
+@pytest.mark.parametrize(
+    "rows, expected, exact_runs",
+    [
+        ([[P, 1], [0, 1]], 2, 1),  # rank 1 mod P: only the fallback sees rank 2
+        ([[2 * P, 3 * P], [P, 5 * P]], 2, 1),  # zero mod P, rank 2 over Q
+        ([[1, P], [P, 1]], 2, 0),
+        ([[Fraction(1, P), 1], [0, 1]], 2, 0),  # denominators are cleared before reducing
+        ([[Fraction(1, P), Fraction(2, P)], [1, 2]], 1, 1),
+        ([[Fraction(1, 3 * P), 1], [1, 3 * P]], 1, 1),
+        ([], 0, 0),
+        ([[], []], 0, 0),
+        ([[0, 0, 0], [0, 0, 0]], 0, 1),
+        ([[1, 2, 3], [0, 0, 0], [4, 5, 6]], 2, 1),
+        ([[1, 2], [3, 4], [5, 6]], 2, 0),
+    ],
+)
+def test_rank_certifies_full_rank_mod_p_and_falls_back_otherwise(monkeypatch, rows, expected, exact_runs):
+    echelon = linalg._echelon
+    runs = []
+
+    def counting(m):
+        runs.append(m)
+        return echelon(m)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    assert rank(rows) == expected
+    assert len(runs) == exact_runs
 
 
 @settings(max_examples=100, deadline=None)
