@@ -8,6 +8,7 @@ every intermediate exact value so they can be re-verified independently.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ from .errors import (
 )
 from .linalg import SymMatrix
 from .permgroup import (
-    DEFAULT_ENUM_BOUND,
     GroupDesc,
     Perm,
     char_number,
@@ -99,7 +99,7 @@ def format_gram(point: gr.GramPoint) -> str:
 def cmd_groups(args) -> CommandResult:
     if args.subcommand == "table":
         catalog = _load_catalog(args.catalog)
-        table = classify_catalog(catalog, bound=args.enum_bound)
+        table = classify_catalog(catalog)
         if table.failures:
             return CommandResult(EXIT_INCONCLUSIVE, table.render())
         if args.json:
@@ -120,7 +120,7 @@ def cmd_groups(args) -> CommandResult:
 
     if args.subcommand == "classify":
         group = GroupDesc.from_text(args.gens, args.degree, label=args.label or "")
-        analysis = classify(group, bound=args.enum_bound)
+        analysis = classify(group)
         lines = [
             f"group on {group.degree} points, order {analysis.order}",
             f"transitive: {analysis.is_transitive}",
@@ -160,7 +160,7 @@ def cmd_field(args) -> CommandResult:
         return CommandResult(EXIT_OK, str(f))
 
     if args.subcommand == "galois":
-        qg = nf.quartic_galois(m, precision_bits=args.precision_bits)
+        qg = nf.quartic_galois(m)
         gens = ",".join(str(g) for g in qg.group.generators)
         lines = [
             f"label: {qg.label}",
@@ -177,13 +177,7 @@ def cmd_field(args) -> CommandResult:
             gens = parse_generators(args.galois_gens, m.degree())
             label = args.galois_label or "user"
             galois = nf.GaloisData(group=GroupDesc(m.degree(), gens, label), label=label)
-        cert = nf.obstruction_check(
-            m,
-            lin,
-            galois=galois,
-            precision_bits=args.precision_bits,
-            enum_bound=args.enum_bound,
-        )
+        cert = nf.obstruction_check(m, lin, galois=galois)
         if cert.conclusion is nf.Conclusion.NOT_Q_SOS:
             return CommandResult(EXIT_OK, cert.render())
         return CommandResult(EXIT_INCONCLUSIVE, cert.render())
@@ -354,16 +348,7 @@ def cmd_gram(args) -> CommandResult:
 # parser
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratsos",
@@ -372,9 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Exit codes: 0 certified/success, 1 refuted, 2 inconclusive, 3 input error. "
         "A NotQSos certificate is a success of the method and exits 0.",
     )
-    parser.add_argument("--precision-bits", type=int, default=128, help="working precision (default 128)")
-    parser.add_argument("--enum-bound", type=_positive_int, default=DEFAULT_ENUM_BOUND,
-                        help="largest group order listed element by element (default 10^6)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     groups = sub.add_parser("groups", help="permutation group classification")

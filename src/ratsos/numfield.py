@@ -280,18 +280,14 @@ class TwoSquareWitness:
     precision_bits: int
 
 
-def real_sos2_witness(
-    m: UniPoly,
-    lin: tuple[UniPoly, ...] | None = None,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> TwoSquareWitness:
+def real_sos2_witness(m: UniPoly, lin: tuple[UniPoly, ...] | None = None) -> TwoSquareWitness:
     """Numeric two-squares decomposition of the norm form over the reals.
 
     g is the product of the conjugates of l at roots in the upper half
     plane; the residual is the largest coefficient error of
     f - (g_re^2 + g_im^2) against the exact norm form.
     """
-    rs = isolate_roots(m, precision_bits)
+    rs = isolate_roots(m)
     if not rs.totally_imaginary:
         raise NotTotallyImaginary(f"{m} has {len(rs.pairing.fixed_points())} real roots")
     if lin is None:
@@ -442,7 +438,7 @@ class QuarticGalois:
     discriminant: Fraction
 
 
-def quartic_galois(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS, chain: Sequence = ()) -> QuarticGalois:
+def quartic_galois(m: UniPoly, chain: Sequence = ()) -> QuarticGalois:
     """Galois group of an irreducible quartic via the resolvent cubic.
 
     Returns the label (S4, A4, D4, C4, V4) together with generators acting
@@ -464,7 +460,7 @@ def quartic_galois(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS, cha
     chain = tuple(chain or sturm_chain(m))
     if _quartic_reducible(m, chain, p, q, r, roots):
         raise Reducible(f"{m} has a proper rational factor")
-    rs = isolate_roots(m, precision_bits, chain)
+    rs = isolate_roots(m, chain=chain)
     if len(roots) == 0:
         label = "A4" if _is_rational_square(disc) else "S4"
         gens = {
@@ -540,6 +536,8 @@ class ObstructionCert:
 
     ``conclusion`` is NOT_Q_SOS only when the totally-imaginary, squarefree
     and general-position checks all pass and c >= d + 1 (condition (**)).
+    ``precision_bits`` is that of the isolated roots, None when the
+    certificate stops before any root is isolated.
     """
 
     minpoly: str
@@ -571,7 +569,7 @@ class ObstructionCert:
                 f"(*) requires {self.degree - 1}, (**) requires >= {self.d + 1}"
             )
         if self.membership_verified is not None:
-            lines.append(f"tau membership in group: {'verified' if self.membership_verified else 'UNVERIFIED'}")
+            lines.append(f"tau membership in group: {'verified' if self.membership_verified else 'refuted'}")
         if self.precision_bits is not None:
             lines.append(f"working precision: {self.precision_bits} bits")
         for rec in self.checks:
@@ -584,8 +582,6 @@ def obstruction_check(
     m: UniPoly,
     lin: tuple[UniPoly, ...] | None = None,
     galois: GaloisData | None = None,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    enum_bound: int = 10**6,
 ) -> ObstructionCert:
     """Run the full norm-form obstruction pipeline.
 
@@ -605,6 +601,7 @@ def obstruction_check(
     two_d = m.degree()
     d = two_d // 2
     checks: list[CheckRecord] = []
+    rs: RootSystem | None = None
 
     def bail(conclusion=Conclusion.NO_OBSTRUCTION, **extra):
         return ObstructionCert(
@@ -613,7 +610,7 @@ def obstruction_check(
             d=d,
             conclusion=conclusion,
             checks=tuple(checks),
-            precision_bits=precision_bits,
+            precision_bits=rs.precision_bits if rs else None,
             **extra,
         )
 
@@ -638,7 +635,7 @@ def obstruction_check(
         if two_d != 4:
             raise GaloisDataMissing("degree > 4 requires explicit Galois data")
         try:
-            qg = quartic_galois(m, precision_bits, chain)
+            qg = quartic_galois(m, chain)
         except Reducible as exc:
             checks.append(CheckRecord("irreducible", "fail", str(exc)))
             return bail()
@@ -647,7 +644,7 @@ def obstruction_check(
     else:
         group = galois.group
         label = galois.label or group.label
-        rs = isolate_roots(m, precision_bits, chain)
+        rs = isolate_roots(m, chain=chain)
     tau = rs.pairing
 
     if not tau.is_involution() or not tau.is_fixed_point_free():
@@ -655,58 +652,23 @@ def obstruction_check(
         return bail(tau=str(tau), group_label=label)
     checks.append(CheckRecord("tau fpf involution", "pass", str(tau)))
 
-    membership_verified: bool | None
-    order: int | None
-    chain = group.chain()
-    if chain.order > enum_bound:
-        order = None
-        membership_verified = False
-        checks.append(
-            CheckRecord("tau in group", "inconclusive", f"group not enumerable within {enum_bound}")
-        )
-    else:
-        order = chain.order
-        membership_verified = tau.images in chain
-        if not membership_verified:
-            checks.append(CheckRecord("tau in group", "fail", "tau not in the generated group"))
-            return bail(tau=str(tau), group_label=label, group_order=order, membership_verified=False)
-        checks.append(CheckRecord("tau in group", "pass", f"group order {order}"))
+    stab = group.chain()
+    order = stab.order
+    if tau.images not in stab:
+        checks.append(CheckRecord("tau in group", "fail", "tau not in the generated group"))
+        return bail(tau=str(tau), group_label=label, group_order=order, membership_verified=False)
+    checks.append(CheckRecord("tau in group", "pass", f"group order {order}"))
+    known = {"tau": str(tau), "group_label": label, "group_order": order, "membership_verified": True}
 
     gp = general_position(rs, lin)
     if gp is GeneralPosition.INCONCLUSIVE:
         checks.append(CheckRecord("general position", "inconclusive", "interval refinement capped"))
-        return bail(
-            tau=str(tau),
-            group_label=label,
-            group_order=order,
-            general_position_verdict=gp,
-            membership_verified=membership_verified,
-        )
+        return bail(general_position_verdict=gp, **known)
     checks.append(CheckRecord("general position", "pass", gp.value))
 
     c = char_number(group, tau, check_membership=False)
     starstar = 2 * c > two_d
     detail = f"c = {c}, threshold d + 1 = {d + 1}"
-    if starstar and membership_verified:
-        checks.append(CheckRecord("condition (**)", "pass", detail))
-        conclusion = Conclusion.NOT_Q_SOS
-    elif starstar and not membership_verified:
-        checks.append(CheckRecord("condition (**)", "inconclusive", detail + "; membership unverified"))
-        conclusion = Conclusion.NO_OBSTRUCTION
-    else:
-        checks.append(CheckRecord("condition (**)", "fail", detail))
-        conclusion = Conclusion.NO_OBSTRUCTION
-    return ObstructionCert(
-        minpoly=str(m),
-        degree=two_d,
-        d=d,
-        conclusion=conclusion,
-        checks=tuple(checks),
-        c=c,
-        tau=str(tau),
-        group_label=label,
-        group_order=order,
-        general_position_verdict=gp,
-        membership_verified=membership_verified,
-        precision_bits=precision_bits,
-    )
+    checks.append(CheckRecord("condition (**)", "pass" if starstar else "fail", detail))
+    conclusion = Conclusion.NOT_Q_SOS if starstar else Conclusion.NO_OBSTRUCTION
+    return bail(conclusion, c=c, general_position_verdict=gp, **known)

@@ -11,7 +11,7 @@ element is one product u_0 u_1 ... u_{k-1} of transversal elements, and a
 permutation is a member iff sifting it level by level (dividing off the
 transversal element its base image selects) ends in the identity.  Order
 and membership therefore cost polynomial time at any group order; only
-``enumerate_group`` lists elements, and only up to its bound.
+``enumerate_group`` lists elements, and only up to ``ENUM_BOUND``.
 
 The characteristic number c of (G, X, t) is the size of the orbit of a
 point under the conjugacy class of t.  It is computed by closing the set
@@ -36,7 +36,7 @@ from .errors import (
     RatsosError,
 )
 
-DEFAULT_ENUM_BOUND = 10**6
+ENUM_BOUND = 10**6  # largest group order that enumerate_group lists
 
 
 def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -442,18 +442,16 @@ def schreier_sims(gens: Sequence[tuple[int, ...]], degree: int) -> StabChain:
     return StabChain(degree, tuple(base), tuple(transversals), tuple(inverses))
 
 
-def enumerate_group(group: GroupDesc, bound: int = DEFAULT_ENUM_BOUND) -> list[Perm]:
-    """All group elements (sorted) when the order is within ``bound``.
+def enumerate_group(group: GroupDesc) -> list[Perm]:
+    """All group elements (sorted) when the order is within ``ENUM_BOUND``.
 
     The order is read off the stabilizer chain before any element is
-    built; past the bound :class:`OrderExceeded` reports ``bound + 1``
+    built; past the bound :class:`OrderExceeded` reports ``ENUM_BOUND + 1``
     elements found.
     """
-    if bound < 1:
-        raise ValueError("bound must be positive")
     chain = group.chain()
-    if chain.order > bound:
-        raise OrderExceeded(bound + 1, bound)
+    if chain.order > ENUM_BOUND:
+        raise OrderExceeded(ENUM_BOUND + 1, ENUM_BOUND)
     return list(map(Perm._trusted, sorted(chain.elements())))
 
 
@@ -555,14 +553,14 @@ class GroupAnalysis:
         return any(k.satisfies_starstar for k in self.fpf_classes)
 
 
-def classify(group: GroupDesc, bound: int = DEFAULT_ENUM_BOUND) -> GroupAnalysis:
+def classify(group: GroupDesc) -> GroupAnalysis:
     """Full analysis: transitivity, 2-transitivity, fpf classes with their
     characteristic numbers and the (*) / (**) verdicts.  The group is
     enumerated once; the fpf classes are read off that element list."""
     n = group.degree
     transitive = is_transitive(group)
     two_trans = is_two_transitive(group) if n >= 2 else False
-    elements = enumerate_group(group, bound)
+    elements = enumerate_group(group)
     infos = []
     for t in fpf_involution_classes(group, elements):
         # 2-transitive actions reach every pair, so c = n - 1 without closure
@@ -625,11 +623,7 @@ class CatalogTable:
         return "\n".join(lines)
 
 
-def classify_catalog(
-    catalog: Sequence[GroupDesc],
-    degree: int | None = None,
-    bound: int = DEFAULT_ENUM_BOUND,
-) -> CatalogTable:
+def classify_catalog(catalog: Sequence[GroupDesc], degree: int | None = None) -> CatalogTable:
     """Classify every catalog entry and aggregate the four-column table row.
 
     Column semantics: (1) has an fpf involution; (2) additionally
@@ -649,7 +643,7 @@ def classify_catalog(
     failures = []
     for g in entries:
         try:
-            a = classify(g, bound)
+            a = classify(g)
         except RatsosError as exc:  # aggregate, don't abort the table
             failures.append((g.label, str(exc)))
             continue

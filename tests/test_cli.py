@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratsos import numfield
+from ratsos import numfield, permgroup
 from ratsos.boundary import demo_kernel_cubics, demo_points, demo_tuple, functional_from_tuple
 from ratsos.cli import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, run
 from ratsos.linalg import SymMatrix, psd_check, rank
@@ -28,8 +28,9 @@ def test_groups_table_json():
     assert sorted(payload["columns"]["star_not_2transitive"]) == ["6T11", "6T8"]
 
 
-def test_groups_table_reports_groups_past_the_enumeration_bound():
-    res = run(["--enum-bound", "100", "groups", "table", "--catalog", "degree8.cat"])
+def test_groups_table_reports_groups_past_the_enumeration_bound(monkeypatch):
+    monkeypatch.setattr(permgroup, "ENUM_BOUND", 100)
+    res = run(["groups", "table", "--catalog", "degree8.cat"])
     assert res.exit_code == EXIT_INCONCLUSIVE
     assert "  FAILED 8G35: group order exceeds bound 100 (found 101 elements)" in res.report.splitlines()
 
@@ -46,7 +47,7 @@ def test_groups_char_number_sifts_membership_past_the_bound():
                "--inv", "(1 2)(3 4)(5 6)(7 8)(9 10)"])
     assert res.exit_code == EXIT_INPUT
     assert res.report == "NotInGroup: (1 2)(3 4)(5 6)(7 8)(9 10) is not an element of the generated group"
-    res = run(["--enum-bound", "100", "groups", "char-number", "--gens", "(1 2 3),(2 3 4 5 6 7 8)",
+    res = run(["groups", "char-number", "--gens", "(1 2 3),(2 3 4 5 6 7 8)",
                "--inv", "(1 2)(3 4)(5 6)(7 8)"])
     assert res.exit_code == EXIT_OK
     assert res.report == "c=7, (*) yes, (**) yes"
@@ -58,16 +59,25 @@ def test_groups_classify_past_the_bound():
     assert res.report == "OrderExceeded: group order exceeds bound 1000000 (found 1000001 elements)"
 
 
-def test_field_obstruct_past_the_bound_leaves_membership_unverified():
-    argv = ["field", "obstruct", "--minpoly=t^6+t+1", "--galois-gens=(1 2 3 4 5 6),(1 2)"]
-    res = run(argv)
+def test_field_obstruct_sifts_membership_past_the_bound(monkeypatch):
+    # the verdict rests on sifting tau, whatever the enumeration bound
+    monkeypatch.setattr(permgroup, "ENUM_BOUND", 100)
+    res = run(["field", "obstruct", "--minpoly=t^6+t+1", "--galois-gens=(1 2 3 4 5 6),(1 2)"])
     assert res.exit_code == EXIT_OK
-    assert "check tau in group: pass (group order 720)" in res.report.splitlines()
-    res = run(["--enum-bound", "100"] + argv)
+    lines = res.report.splitlines()
+    assert "Galois action: user (order 720)" in lines
+    assert "tau membership in group: verified" in lines
+    assert "check tau in group: pass (group order 720)" in lines
+    assert lines[-1] == "conclusion: NotQSos"
+
+
+def test_field_obstruct_refutes_tau_outside_the_group():
+    res = run(["field", "obstruct", "--minpoly=t^6+t+1", "--galois-gens=(1 2 3 4 5 6)"])
     assert res.exit_code == EXIT_INCONCLUSIVE
     lines = res.report.splitlines()
-    assert "tau membership in group: UNVERIFIED" in lines
-    assert "check tau in group: inconclusive (group not enumerable within 100)" in lines
+    assert "tau membership in group: refuted" in lines
+    assert "check tau in group: fail (tau not in the generated group)" in lines
+    assert not any(line.startswith("check general position") for line in lines)
     assert lines[-1] == "conclusion: NoObstruction"
 
 
@@ -380,11 +390,12 @@ def test_console_entry_point():
     assert proc.stdout.splitlines()[0] == "4  5  2  0  0"
 
 
-def test_enum_bound_must_be_positive(capsys):
+@pytest.mark.parametrize("flag", [["--enum-bound", "5"], ["--precision-bits", "64"]],
+                         ids=["enum-bound", "precision-bits"])
+def test_there_are_no_global_options(flag):
     with pytest.raises(SystemExit) as exc:
-        run(["--enum-bound", "0", "groups", "classify", "--gens", "(1 2 3 4),(1 2)"])
+        run(flag + ["groups", "classify", "--gens", "(1 2 3 4),(1 2)"])
     assert exc.value.code == EXIT_INPUT
-    assert "argument --enum-bound: must be a positive integer, got '0'" in capsys.readouterr().err
 
 
 def test_bad_usage_exit_code():

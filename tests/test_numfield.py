@@ -219,8 +219,8 @@ def test_real_sos2_witness_gaussian():
 
 
 def test_real_sos2_witness_quartic():
-    w = real_sos2_witness(U("t^4+2"), precision_bits=256)
-    assert w.residual < 1e-20
+    w = real_sos2_witness(U("t^4+2"))
+    assert w.residual < 1e-30
 
 
 def test_real_sos2_rejects_real_embeddings():

@@ -82,13 +82,15 @@ def test_two_transitivity():
     assert is_two_transitive(A4)
 
 
-def test_enumerate():
+def test_enumerate(monkeypatch):
     assert len(enumerate_group(G("(1 2)"))) == 2
     assert len(enumerate_group(D4)) == 8
+    monkeypatch.setattr(permgroup, "ENUM_BOUND", 10)
     with pytest.raises(OrderExceeded) as exc:
-        enumerate_group(S4, bound=10)
+        enumerate_group(S4)
     assert exc.value.partial_count == 11
-    assert len(enumerate_group(S4, bound=24)) == 24
+    monkeypatch.setattr(permgroup, "ENUM_BOUND", 24)
+    assert len(enumerate_group(S4)) == 24
 
 
 def test_fpf_involution_classes():
@@ -190,7 +192,7 @@ def test_bundled_degree6_table_and_labels():
 
 
 def test_classify_catalog_lets_a_bug_propagate(monkeypatch):
-    def broken(group, bound):
+    def broken(group):
         raise TypeError("a bug, not a failed group")
 
     monkeypatch.setattr(permgroup, "classify", broken)
