@@ -31,7 +31,6 @@ from .boundary import (
     hilbert_function,
     kernel_cubics,
     moment_matrix,
-    strict_positivity_cert,
     uniqueness_cert,
 )
 from .foursquares import four_squares, four_squares_int
@@ -51,19 +50,16 @@ from .gram import (
 from .linalg import PsdVerdict, SymMatrix, ldl_sos, lin_solve, nullspace, psd_check, rank, rref
 from .numfield import (
     Conclusion,
-    GaloisData,
     GeneralPosition,
     ObstructionCert,
     QuarticGalois,
     RootSystem,
-    TwoSquareWitness,
     canonical_linear_form,
     general_position,
     isolate_roots,
     norm_form,
     obstruction_check,
     quartic_galois,
-    real_sos2_witness,
 )
 from .permgroup import (
     CatalogTable,

@@ -21,13 +21,12 @@ from .errors import (
     LinearlyDependent,
     MissingGramWitness,
     NoSolution,
-    NotASumOverU,
     NotCayleyBacharach,
     NotPsd,
     NotQuadraticallyIndependent,
     ParseError,
 )
-from .gram import GramPoint, QSosWitness, SosRep, extract_qsos, gram_from_squares, is_gram_point
+from .gram import GramPoint, QSosWitness, extract_qsos, is_gram_point
 from .linalg import SymMatrix, nullspace, psd_check, rank
 from .poly import Poly, monomials, parse_rational, primitive_vector
 
@@ -160,18 +159,13 @@ class TupleVerdict:
     reason: str
 
 
-def check_tuple(u: Sequence[Fraction], a: Sequence[Fraction]) -> TupleVerdict:
-    """Exact check of the sign pattern and the relation sum u_i^2/a_i = 0."""
-    u = [Fraction(x) for x in u]
-    a = [Fraction(x) for x in a]
-    if len(u) != 9 or len(a) != 9:
-        return TupleVerdict(False, "need 9 entries in both vectors")
-    if any(x == 0 for x in a):
-        return TupleVerdict(False, "weights must be nonzero")
-    negatives = sum(1 for x in a if x < 0)
-    if negatives != 1:
-        return TupleVerdict(False, f"need exactly one negative weight, got {negatives}")
-    total = sum(x * x / y for x, y in zip(u, a))
+def check_tuple(u: Sequence[Fraction], tup: WeightTuple) -> TupleVerdict:
+    """Exact check of the relation sum u_i^2/a_i = 0.
+
+    ``WeightTuple`` has already enforced the sign pattern: nine nonzero
+    weights, exactly one of them negative.
+    """
+    total = sum(x * x / y for x, y in zip(u, tup.a))
     if total != 0:
         return TupleVerdict(False, f"sum u_i^2/a_i = {total} != 0")
     return TupleVerdict(True, "sign pattern and relation hold exactly")
@@ -192,10 +186,6 @@ class LinearFunctional:
             raise HeterogeneousDegrees("functional applies to homogeneous ternary sextics")
         vec = f.coeff_vector(SEXTICS)
         return sum((c * v for c, v in zip(self.coeffs, vec)), Fraction(0))
-
-    def scaled(self, c) -> "LinearFunctional":
-        c = Fraction(c)
-        return LinearFunctional(tuple(c * v for v in self.coeffs))
 
     def to_text(self) -> str:
         return "functional n=3 2d=6\n" + "\n".join(str(c) for c in self.coeffs) + "\n"
@@ -324,28 +314,15 @@ def empty_zero_check(u_basis: Sequence[Poly]) -> ZeroSetVerdict:
     return _zero_set(hilbert_function(u_basis))
 
 
-def strict_positivity_cert(f: Poly, qs: Sequence[Poly]) -> PositivityVerdict:
-    """Certify strict positivity of f = sum q_i^2 via the empty zero set.
-
-    The identity f = sum q_i^2 is verified exactly first, since f and the
-    q_i come from the caller.
-    """
-    total = Poly.zero(3)
-    for q in qs:
-        total = total + q * q
-    if total != f:
-        raise NotASumOverU("f is not the sum of squares of the given forms")
-    return _POSITIVITY[empty_zero_check(list(qs))]
-
-
 @dataclass(frozen=True)
 class BoundaryCert:
     """Certificate that alpha lies in the normal cone of the SOS cone at f.
 
     ``kernel`` holds the kernel cubics of the moment matrix (None when the
-    matrix is not PSD), so its rank is 10 - dim kernel.  ``extraction`` is
-    the rational SOS extraction of f on the kernel when the witness was
-    derived here rather than supplied.
+    matrix is not PSD), so its rank is 10 - dim kernel.  ``witness`` is
+    the supplied Gram point of f, checked PSD and expanding to f;
+    ``extraction`` is the rational SOS extraction of f on the kernel when
+    no witness was supplied.
     """
 
     certified: bool
@@ -378,7 +355,7 @@ class BoundaryCert:
 def boundary_cert(
     f: Poly,
     alpha: LinearFunctional,
-    witness: GramPoint | SosRep | None = None,
+    witness: GramPoint | None = None,
 ) -> BoundaryCert:
     """Certify f in the boundary of the SOS cone via the functional alpha.
 
@@ -397,8 +374,14 @@ def boundary_cert(
     return _certify_on_kernel(f, alpha_f, kernel, witness)
 
 
-def _certify_on_kernel(f: Poly, alpha_f: Fraction, kernel: tuple[Poly, ...], witness=None) -> BoundaryCert:
-    """The checks of :func:`boundary_cert` that follow the PSD check."""
+def _certify_on_kernel(
+    f: Poly, alpha_f: Fraction, kernel: tuple[Poly, ...], witness: GramPoint | None = None
+) -> BoundaryCert:
+    """The checks of :func:`boundary_cert` that follow the PSD check.
+
+    A derived extraction needs no Gram-point check: ``extract_qsos`` has
+    already expanded its rational squares back to f exactly.
+    """
 
     def rejected(reason: str) -> BoundaryCert:
         return BoundaryCert(False, reason, f, alpha_f, kernel)
@@ -408,7 +391,10 @@ def _certify_on_kernel(f: Poly, alpha_f: Fraction, kernel: tuple[Poly, ...], wit
     if alpha_f != 0:
         return rejected(f"alpha(f) = {alpha_f} != 0: f is not on the face cut out by alpha")
     extraction = None
-    if witness is None:
+    if witness is not None:
+        if not is_gram_point(witness, f):
+            return rejected("supplied witness is not a Gram point of f")
+    else:
         try:
             extraction = extract_qsos(f, list(kernel))
         except (NotPsd, NoSolution) as exc:
@@ -419,11 +405,6 @@ def _certify_on_kernel(f: Poly, alpha_f: Fraction, kernel: tuple[Poly, ...], wit
             raise MissingGramWitness(
                 f"no SOS witness supplied and the kernel extraction failed: {exc}"
             ) from exc
-        witness = gram_from_squares(SosRep(extraction.expanded))
-    elif isinstance(witness, SosRep):
-        witness = gram_from_squares(witness)
-    if not is_gram_point(witness, f):
-        return rejected("supplied witness is not a Gram point of f")
     reason = "alpha in dual cone, rank >= 2, alpha(f) = 0, SOS membership witnessed"
     return BoundaryCert(True, reason, f, alpha_f, kernel, witness, extraction)
 
@@ -515,7 +496,7 @@ def boundary_chain(cfg: NinePointConfig, tup: WeightTuple) -> BoundaryChain:
     one the uniqueness certificate reads.
     """
     u = tuple(cb_relation(cfg))
-    verdict = check_tuple(u, tup.a)
+    verdict = check_tuple(u, tup)
     if not verdict.ok:
         return BoundaryChain(u, verdict)
     alpha = functional_from_tuple(cfg, tup)

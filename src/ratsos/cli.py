@@ -2,9 +2,11 @@
 
 Exit codes: 0 = certified/success, 1 = refuted/negative verdict,
 2 = inconclusive, 3 = input error.  A NotQSos certificate is a *success*
-of the obstruction method (exit 0); negative verdicts about the inputs
-(alpha(f) != 0, an indefinite Gram matrix) map to exit 1.  Reports embed
-every intermediate exact value so they can be re-verified independently.
+of the obstruction method (exit 0); one that rests on a Galois group from
+``--galois-gens`` is conditional and exits 2.  Negative verdicts about
+the inputs (alpha(f) != 0, an indefinite Gram matrix) map to exit 1.
+Reports embed every intermediate exact value so they can be re-verified
+independently.
 """
 
 import argparse
@@ -55,7 +57,7 @@ def _parse_linform(text: str) -> tuple[UniPoly, ...]:
     chunks = [c.strip() for c in text.split(";")]
     if not chunks or not all(chunks):
         raise RatsosError(f"linear form needs ';'-separated entries, got {text!r}")
-    return tuple(UniPoly.parse(c, var="t") for c in chunks)
+    return tuple(UniPoly.parse(c) for c in chunks)
 
 
 def _load_catalog(source: str):
@@ -152,7 +154,7 @@ def cmd_groups(args) -> CommandResult:
 
 
 def cmd_field(args) -> CommandResult:
-    m = UniPoly.parse(args.minpoly, var="t")
+    m = UniPoly.parse(args.minpoly)
     lin = _parse_linform(args.linform) if getattr(args, "linform", None) else None
 
     if args.subcommand == "normform":
@@ -163,7 +165,7 @@ def cmd_field(args) -> CommandResult:
         qg = nf.quartic_galois(m)
         gens = ",".join(str(g) for g in qg.group.generators)
         lines = [
-            f"label: {qg.label}",
+            f"label: {qg.group.label}",
             f"generators on root indices: {gens}",
             f"resolvent cubic: {qg.resolvent}",
             f"discriminant: {qg.discriminant}",
@@ -172,12 +174,11 @@ def cmd_field(args) -> CommandResult:
         return CommandResult(EXIT_OK, "\n".join(lines))
 
     if args.subcommand == "obstruct":
-        galois = None
+        group = None
         if args.galois_gens:
             gens = parse_generators(args.galois_gens, m.degree())
-            label = args.galois_label or "user"
-            galois = nf.GaloisData(group=GroupDesc(m.degree(), gens, label), label=label)
-        cert = nf.obstruction_check(m, lin, galois=galois)
+            group = GroupDesc(m.degree(), gens, args.galois_label or "user")
+        cert = nf.obstruction_check(m, lin, group=group)
         if cert.conclusion is nf.Conclusion.NOT_Q_SOS:
             return CommandResult(EXIT_OK, cert.render())
         return CommandResult(EXIT_INCONCLUSIVE, cert.render())
@@ -355,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact rational sums-of-squares certificates: Galois "
         "obstructions, Gram spectrahedra, boundary sextics.",
         epilog="Exit codes: 0 certified/success, 1 refuted, 2 inconclusive, 3 input error. "
-        "A NotQSos certificate is a success of the method and exits 0.",
+        "A NotQSos certificate is a success of the method and exits 0; "
+        "one that assumes a Galois group from --galois-gens exits 2.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

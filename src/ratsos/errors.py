@@ -37,10 +37,6 @@ class NotMonic(RatsosError):
     pass
 
 
-class NotTotallyImaginary(RatsosError):
-    pass
-
-
 class PrecisionExhausted(RatsosError):
     """Interval refinement hit the precision cap without certifying."""
 
@@ -105,10 +101,6 @@ class NotQuadraticallyIndependent(RatsosError):
 
 class NoSolution(RatsosError):
     """Linear system has no solution (form outside the span of products)."""
-
-
-class NotASumOverU(RatsosError):
-    """Claimed identity f = sum of squares of the given forms fails."""
 
 
 class SpansDiffer(RatsosError):

@@ -281,9 +281,9 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
     Walks G(s) = G1 + s (G2 - G1) in the coordinates of the common span;
     s* is the smallest root > 1 of det Q(s), located by Sturm isolation
     and, if rational, found exactly among the rational roots of det Q.
-    At a rational s* the boundary matrix is returned with its rank drop
-    verified exactly; at an irrational s* the isolating interval comes back
-    with the deferred flag.
+    At a rational s* the boundary matrix G(s*) is returned with its rank
+    drop verified exactly; at an irrational s* the isolating interval comes
+    back with the deferred flag.
     """
     f = mu(g1)
     if mu(g2) != f:
@@ -301,7 +301,7 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
         raise SpansDiffer(f"span bases differ: {[str(p) for p in b1]} vs {[str(p) for p in b2]}")
     # restricted coordinates: with B in reduced echelon form, any symmetric G
     # with column space inside the row span of B satisfies G = B^T G[J,J] B
-    # where J is the pivot column set
+    # where J is the pivot column set; so G(s) = B^T Q(s) B is linear in s
     def restrict(g: GramPoint):
         return [[g.matrix.entry(i, j) for j in pivots] for i in pivots]
 
@@ -323,24 +323,10 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
     if exact is None:  # s* is irrational: refinement cannot land on it
         lo, hi = refine_interval(chain, (lo, hi), Fraction(1, 2**64))
         return ShrinkResult(s_interval=(lo, hi), deferred=True, rank_before=rank_before)
-    q_star = [
-        [q1[i][j] + exact * (q2[i][j] - q1[i][j]) for j in range(r)] for i in range(r)
+    full = [
+        [a + exact * (b - a) for a, b in zip(row1, row2)]
+        for row1, row2 in zip(g1.matrix.rows, g2.matrix.rows)
     ]
-    n = g1.matrix.size
-    full = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(r):
-        for b in range(r):
-            c = q_star[a][b]
-            if not c:
-                continue
-            for i in range(n):
-                va = reduced[a][i]
-                if not va:
-                    continue
-                for j in range(n):
-                    vb = reduced[b][j]
-                    if vb:
-                        full[i][j] += c * va * vb
     gprime = GramPoint(g1.nvars, g1.half_degree, SymMatrix.from_rows(full))
     verdict = psd_check(gprime.matrix)
     if not verdict.is_psd:

@@ -62,12 +62,6 @@ class Interval:
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
 
 @dataclass(frozen=True)
 class Box:
@@ -107,9 +101,6 @@ class Box:
 
     def overlaps(self, other: "Box") -> bool:
         return self.re.overlaps(other.re) and self.im.overlaps(other.im)
-
-    def is_symmetric_about_real_axis(self) -> bool:
-        return self.im.lo == -self.im.hi
 
     def strictly_above_axis(self) -> bool:
         return self.im.lo > 0

@@ -198,10 +198,6 @@ class SymMatrix:
     def identity(cls, n: int) -> "SymMatrix":
         return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, n: int) -> "SymMatrix":
-        return cls.from_rows([[0] * n for _ in range(n)])
-
     @property
     def size(self) -> int:
         return len(self.rows)
@@ -211,10 +207,6 @@ class SymMatrix:
 
     def to_lists(self) -> Mat:
         return [list(r) for r in self.rows]
-
-    def scaled(self, c) -> "SymMatrix":
-        c = Fraction(c)
-        return SymMatrix.from_rows([[c * v for v in row] for row in self.rows])
 
     def quad_form(self, v: Sequence) -> Fraction:
         """v^T M v, exactly."""

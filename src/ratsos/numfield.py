@@ -25,7 +25,6 @@ from .errors import (
     GaloisDataMissing,
     NotMonic,
     NotSquarefree,
-    NotTotallyImaginary,
     PrecisionExhausted,
     Reducible,
     ZeroPolynomial,
@@ -55,8 +54,7 @@ class RootSystem:
 
     ``pairing`` is the complex-conjugation permutation on box indices (real
     roots are its fixed points); when the polynomial is totally imaginary it
-    is a fixed-point-free involution.  ``approx`` carries high-precision
-    approximations aligned with the boxes (not part of the certificate).
+    is a fixed-point-free involution.  The boxes are exact rational data.
     One root system is isolated per minimal polynomial and handed to every
     stage that needs its roots; a stage whose boxes are too wide asks for
     ``refined()``, which reuses the Sturm ``chain`` of ``minpoly``.
@@ -67,7 +65,6 @@ class RootSystem:
     pairing: Perm
     totally_imaginary: bool
     precision_bits: int
-    approx: tuple = ()
     chain: tuple[UniPoly, ...] = ()
 
     @property
@@ -153,14 +150,13 @@ def isolate_roots(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS, chai
     while prec <= PRECISION_CAP_BITS:
         result = _try_isolate(m, n_real, prec)
         if result is not None:
-            boxes, pairing_images, approx = result
+            boxes, pairing_images = result
             return RootSystem(
                 minpoly=m,
                 boxes=tuple(boxes),
                 pairing=Perm(pairing_images),
                 totally_imaginary=(n_real == 0),
                 precision_bits=prec,
-                approx=tuple(approx),
                 chain=chain,
             )
         prec *= 2
@@ -180,12 +176,12 @@ def _try_isolate(m: UniPoly, n_real: int, prec: int):
             re = _mpf_to_fraction(mpmath.re(z))
             im = _mpf_to_fraction(mpmath.im(z))
             rad = _candidate_radius(m, re, im)
-            data.append((re, im, rad, z))
+            data.append((re, im, rad))
     # the n_real approximations closest to the axis are the real candidates
     order = sorted(range(n), key=lambda i: (abs(data[i][1]), i))
     real_idx = set(order[:n_real])
     boxes = []
-    for i, (re, im, rad, _) in enumerate(data):
+    for i, (re, im, rad) in enumerate(data):
         if i in real_idx:
             # symmetric about the axis and still containing the disc
             boxes.append(Box(Interval.around(re, rad), Interval.around(0, rad + abs(im))))
@@ -222,9 +218,8 @@ def _try_isolate(m: UniPoly, n_real: int, prec: int):
     for new, old in enumerate(perm):
         inv[old] = new
     boxes_sorted = [boxes[old] for old in perm]
-    approx_sorted = [data[old][3] for old in perm]
     pairing_sorted = [inv[pairing[old]] for old in perm]
-    return boxes_sorted, pairing_sorted, approx_sorted
+    return boxes_sorted, pairing_sorted
 
 
 # ---------------------------------------------------------------------------
@@ -270,68 +265,6 @@ def norm_form(m: UniPoly, lin: tuple[UniPoly, ...] | None = None) -> Poly:
     return pencil_det([_multiplication_matrix(m, beta) for beta in lin])
 
 
-@dataclass(frozen=True)
-class TwoSquareWitness:
-    """Floating-point factorization f = g_re^2 + g_im^2 over the reals."""
-
-    g_re: dict
-    g_im: dict
-    residual: float
-    precision_bits: int
-
-
-def real_sos2_witness(m: UniPoly, lin: tuple[UniPoly, ...] | None = None) -> TwoSquareWitness:
-    """Numeric two-squares decomposition of the norm form over the reals.
-
-    g is the product of the conjugates of l at roots in the upper half
-    plane; the residual is the largest coefficient error of
-    f - (g_re^2 + g_im^2) against the exact norm form.
-    """
-    rs = isolate_roots(m)
-    if not rs.totally_imaginary:
-        raise NotTotallyImaginary(f"{m} has {len(rs.pairing.fixed_points())} real roots")
-    if lin is None:
-        lin = canonical_linear_form()
-    lin = tuple(lin)
-    f = norm_form(m, lin)
-    nvars = len(lin)
-    with mpmath.workprec(rs.precision_bits):
-        prod = {(0,) * nvars: mpmath.mpc(1)}
-        for i, box in enumerate(rs.boxes):
-            if not box.strictly_above_axis():
-                continue
-            alpha = rs.approx[i]
-            lin_coeffs = {}
-            for j, c in enumerate(lin):
-                val = mpmath.mpc(0)
-                for k in range(c.degree(), -1, -1):
-                    val = val * alpha + mpmath.mpf(c[k].numerator) / mpmath.mpf(c[k].denominator)
-                if val != 0:
-                    exp = tuple(1 if t == j else 0 for t in range(nvars))
-                    lin_coeffs[exp] = val
-            new = {}
-            for e1, c1 in prod.items():
-                for e2, c2 in lin_coeffs.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    new[e] = new.get(e, mpmath.mpc(0)) + c1 * c2
-            prod = new
-        g_re = {e: float(mpmath.re(c)) for e, c in prod.items()}
-        g_im = {e: float(mpmath.im(c)) for e, c in prod.items()}
-        residual = mpmath.mpf(0)
-        square = {}
-        for parts in (mpmath.re, mpmath.im):
-            for e1, c1 in prod.items():
-                for e2, c2 in prod.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    square[e] = square.get(e, mpmath.mpf(0)) + parts(c1) * parts(c2)
-        for e in set(square) | set(f.terms):
-            exact = f.coefficient(e)
-            got = square.get(e, mpmath.mpf(0))
-            err = abs(got - mpmath.mpf(exact.numerator) / mpmath.mpf(exact.denominator))
-            residual = max(residual, err)
-    return TwoSquareWitness(g_re=g_re, g_im=g_im, residual=float(residual), precision_bits=rs.precision_bits)
-
-
 # ---------------------------------------------------------------------------
 # general position
 
@@ -373,18 +306,6 @@ def general_position(roots: RootSystem, lin: tuple[UniPoly, ...] | None = None) 
 
 # ---------------------------------------------------------------------------
 # quartic Galois groups
-
-
-@dataclass(frozen=True)
-class GaloisData:
-    """Galois action on the root indices of ``isolate_roots(m)``.
-
-    The conjugation involution tau is not part of it: the obstruction
-    always reads tau off the certified pairing of that root system.
-    """
-
-    group: GroupDesc
-    label: str = ""
 
 
 def _is_rational_square(x: Fraction) -> bool:
@@ -431,7 +352,6 @@ def _quartic_reducible(
 
 @dataclass(frozen=True)
 class QuarticGalois:
-    label: str
     group: GroupDesc
     roots: RootSystem
     resolvent: UniPoly
@@ -441,7 +361,7 @@ class QuarticGalois:
 def quartic_galois(m: UniPoly, chain: Sequence = ()) -> QuarticGalois:
     """Galois group of an irreducible quartic via the resolvent cubic.
 
-    Returns the label (S4, A4, D4, C4, V4) together with generators acting
+    Returns the group, labelled S4, A4, D4, C4 or V4, with generators acting
     on the root indices of the isolated root system; for the groups that
     stabilize a pairing, the pairing is identified against the rational
     resolvent root by interval arithmetic.  One Sturm chain of m, built
@@ -468,10 +388,10 @@ def quartic_galois(m: UniPoly, chain: Sequence = ()) -> QuarticGalois:
             "A4": ("(1 2 3)", "(2 3 4)"),
         }[label]
         group = GroupDesc(4, tuple(Perm.parse(g, 4) for g in gens), label)
-        return QuarticGalois(label, group, rs, resolvent, disc)
+        return QuarticGalois(group, rs, resolvent, disc)
     if len(roots) == 3:
         group = GroupDesc(4, (Perm.parse("(1 2)(3 4)"), Perm.parse("(1 3)(2 4)")), "V4")
-        return QuarticGalois("V4", group, rs, resolvent, disc)
+        return QuarticGalois(group, rs, resolvent, disc)
     if len(roots) != 1:
         raise CheckFailed(
             f"resolvent cubic {resolvent} of a squarefree quartic has {len(roots)} rational roots"
@@ -491,7 +411,7 @@ def quartic_galois(m: UniPoly, chain: Sequence = ()) -> QuarticGalois:
     else:
         gens = (Perm.from_cycles([(a + 1, c + 1, b + 1, d + 1)], 4),)
     group = GroupDesc(4, gens, label)
-    return QuarticGalois(label, group, rs, resolvent, disc)
+    return QuarticGalois(group, rs, resolvent, disc)
 
 
 def _identify_pairing(rs: RootSystem, y0: Fraction):
@@ -520,6 +440,8 @@ def _identify_pairing(rs: RootSystem, y0: Fraction):
 
 class Conclusion(enum.Enum):
     NOT_Q_SOS = "NotQSos"
+    # (**) holds for a Galois group that the caller supplied and nothing verified
+    CONDITIONAL_NOT_Q_SOS = "ConditionalNotQSos (assumes the supplied group is the Galois group)"
     NO_OBSTRUCTION = "NoObstruction"
 
 
@@ -535,7 +457,9 @@ class ObstructionCert:
     """Machine-checkable outcome of the norm-form obstruction pipeline.
 
     ``conclusion`` is NOT_Q_SOS only when the totally-imaginary, squarefree
-    and general-position checks all pass and c >= d + 1 (condition (**)).
+    and general-position checks all pass and c >= d + 1 (condition (**))
+    for the derived quartic Galois group; for a supplied group it is
+    CONDITIONAL_NOT_Q_SOS instead.
     ``precision_bits`` is that of the isolated roots, None when the
     certificate stops before any root is isolated.
     """
@@ -581,16 +505,19 @@ class ObstructionCert:
 def obstruction_check(
     m: UniPoly,
     lin: tuple[UniPoly, ...] | None = None,
-    galois: GaloisData | None = None,
+    group: GroupDesc | None = None,
 ) -> ObstructionCert:
     """Run the full norm-form obstruction pipeline.
 
-    Degree-4 inputs derive their Galois data automatically; higher degrees
-    require it as input.  One Sturm chain of m serves the squarefree and
-    real-root checks and the isolation, and the roots of m are isolated
-    once (by ``quartic_galois`` or here): tau is their certified conjugation
-    pairing, and the same boxes feed general position.  The certificate is
-    monotone: an inconclusive or failing check always yields NO_OBSTRUCTION
+    Degree-4 inputs derive their Galois group when ``group`` is None; higher
+    degrees require it as input, acting on the root indices of
+    ``isolate_roots(m)``.  A supplied group is an assumption, so the most
+    it supports is CONDITIONAL_NOT_Q_SOS.  tau is never supplied.  One
+    Sturm chain of m serves the squarefree and real-root checks and the
+    isolation, and the roots of m are isolated once (by ``quartic_galois``
+    or here): tau is their certified conjugation pairing, and the same
+    boxes feed general position.  The certificate is monotone: an
+    inconclusive or failing check always yields NO_OBSTRUCTION
     with the check named.
     """
     if not m or m.degree() < 4:
@@ -631,7 +558,7 @@ def obstruction_check(
         return bail()
     checks.append(CheckRecord("totally imaginary", "pass", "Sturm count 0, exact"))
 
-    if galois is None:
+    if group is None:
         if two_d != 4:
             raise GaloisDataMissing("degree > 4 requires explicit Galois data")
         try:
@@ -640,25 +567,23 @@ def obstruction_check(
             checks.append(CheckRecord("irreducible", "fail", str(exc)))
             return bail()
         checks.append(CheckRecord("irreducible", "pass", "quartic screens"))
-        group, rs, label = qg.group, qg.roots, qg.label
+        group, rs, proven = qg.group, qg.roots, Conclusion.NOT_Q_SOS
     else:
-        group = galois.group
-        label = galois.label or group.label
-        rs = isolate_roots(m, chain=chain)
+        rs, proven = isolate_roots(m, chain=chain), Conclusion.CONDITIONAL_NOT_Q_SOS
     tau = rs.pairing
 
     if not tau.is_involution() or not tau.is_fixed_point_free():
         checks.append(CheckRecord("tau fpf involution", "fail", str(tau)))
-        return bail(tau=str(tau), group_label=label)
+        return bail(tau=str(tau), group_label=group.label)
     checks.append(CheckRecord("tau fpf involution", "pass", str(tau)))
 
     stab = group.chain()
     order = stab.order
     if tau.images not in stab:
         checks.append(CheckRecord("tau in group", "fail", "tau not in the generated group"))
-        return bail(tau=str(tau), group_label=label, group_order=order, membership_verified=False)
+        return bail(tau=str(tau), group_label=group.label, group_order=order, membership_verified=False)
     checks.append(CheckRecord("tau in group", "pass", f"group order {order}"))
-    known = {"tau": str(tau), "group_label": label, "group_order": order, "membership_verified": True}
+    known = {"tau": str(tau), "group_label": group.label, "group_order": order, "membership_verified": True}
 
     gp = general_position(rs, lin)
     if gp is GeneralPosition.INCONCLUSIVE:
@@ -670,5 +595,5 @@ def obstruction_check(
     starstar = 2 * c > two_d
     detail = f"c = {c}, threshold d + 1 = {d + 1}"
     checks.append(CheckRecord("condition (**)", "pass" if starstar else "fail", detail))
-    conclusion = Conclusion.NOT_Q_SOS if starstar else Conclusion.NO_OBSTRUCTION
+    conclusion = proven if starstar else Conclusion.NO_OBSTRUCTION
     return bail(conclusion, c=c, general_position_verdict=gp, **known)

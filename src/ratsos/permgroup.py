@@ -131,9 +131,6 @@ class Perm:
     def degree(self) -> int:
         return len(self.images)
 
-    def apply(self, point: int) -> int:
-        return self.images[point]
-
     def __mul__(self, other: "Perm") -> "Perm":
         if not isinstance(other, Perm):
             return NotImplemented
@@ -623,7 +620,7 @@ class CatalogTable:
         return "\n".join(lines)
 
 
-def classify_catalog(catalog: Sequence[GroupDesc], degree: int | None = None) -> CatalogTable:
+def classify_catalog(catalog: Sequence[GroupDesc]) -> CatalogTable:
     """Classify every catalog entry and aggregate the four-column table row.
 
     Column semantics: (1) has an fpf involution; (2) additionally
@@ -632,12 +629,12 @@ def classify_catalog(catalog: Sequence[GroupDesc], degree: int | None = None) ->
     none.  A toolkit error for one entry (a group past the enumeration
     bound) is reported as a failed row; any other exception propagates.
     """
-    entries = [g for g in catalog if degree is None or g.degree == degree]
+    entries = list(catalog)
     if not entries:
-        raise ParseError("empty catalog selection")
+        raise ParseError("empty catalog")
     degs = {g.degree for g in entries}
     if len(degs) > 1:
-        raise DimensionMismatch(f"mixed degrees in catalog selection: {sorted(degs)}")
+        raise DimensionMismatch(f"mixed degrees in catalog: {sorted(degs)}")
     deg = entries[0].degree
     cols: dict[str, list[str]] = {"fpf": [], "2t": [], "star": [], "ss": []}
     failures = []

@@ -30,6 +30,7 @@ Exp = tuple[int, ...]
 
 _COEFF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+_T_RE = re.compile(r"^t(?:\^(\d+))?$")
 
 
 def _parse_terms(text: str, factor_re: re.Pattern) -> list[tuple[Fraction, list[re.Match]]]:
@@ -179,9 +180,6 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -191,10 +189,6 @@ class Poly:
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def graded_part(self, d: int) -> "Poly":
-        """The degree-``d`` homogeneous component."""
-        return Poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def coefficient(self, exp: Exp) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
@@ -331,14 +325,10 @@ class UniPoly:
         raise AttributeError("UniPoly is immutable")
 
     @classmethod
-    def parse(cls, text: str, var: str | None = None) -> "UniPoly":
-        """Parse e.g. ``t^4+t+1``; the variable name is detected if not given."""
-        if var is None:
-            m = re.search(r"[a-zA-Z]\w*", text.replace(" ", ""))
-            var = m.group(0) if m else "t"
-        var_re = re.compile(rf"^{re.escape(var)}(?:\^(\d+))?$")
+    def parse(cls, text: str) -> "UniPoly":
+        """Parse a polynomial in ``t``, e.g. ``t^4+t+1``."""
         coeffs: dict[int, Fraction] = {}
-        for coeff, factors in _parse_terms(text, var_re):
+        for coeff, factors in _parse_terms(text, _T_RE):
             power = sum(int(m.group(1)) if m.group(1) else 1 for m in factors)
             coeffs[power] = coeffs.get(power, Fraction(0)) + coeff
         top = max(coeffs) if coeffs else 0
@@ -348,9 +338,6 @@ class UniPoly:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -505,18 +492,15 @@ class UniPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def to_string(self, var: str = "t") -> str:
+    def __str__(self):
         return _format_terms(
-            (c, "" if k == 0 else (var if k == 1 else f"{var}^{k}"))
+            (c, "" if k == 0 else ("t" if k == 1 else f"t^{k}"))
             for k, c in reversed(list(enumerate(self.coeffs)))
             if c
         )
 
-    def __str__(self):
-        return self.to_string()
-
     def __repr__(self):
-        return f"UniPoly({self.to_string()!r})"
+        return f"UniPoly({str(self)!r})"
 
 
 def parse_rational(text: str) -> Fraction:

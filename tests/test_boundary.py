@@ -25,14 +25,12 @@ from ratsos.boundary import (
     hilbert_function,
     kernel_cubics,
     moment_matrix,
-    strict_positivity_cert,
     uniqueness_cert,
 )
 from ratsos.errors import (
     DuplicatePoint,
     LinearlyDependent,
     MissingGramWitness,
-    NotASumOverU,
     NotCayleyBacharach,
     NotPsd,
     NotQuadraticallyIndependent,
@@ -48,6 +46,10 @@ PAPER_SEXTIC = Poly.parse(
     "x1^6 + x2^6 + 7*x1^4*x3^2 + 7*x2^4*x3^2 + 18*x1^2*x2^2*x3^2"
     " - 23*x1^2*x3^4 - 23*x2^2*x3^4 + 16*x3^6"
 )
+
+
+def _scaled(alpha: LinearFunctional, c) -> LinearFunctional:
+    return LinearFunctional(tuple(c * v for v in alpha.coeffs))
 
 
 def test_points_validation():
@@ -96,11 +98,9 @@ def test_cb_relation_duplicate_point():
 
 
 def test_check_tuple():
-    assert check_tuple(DEMO_U, demo_tuple().a).ok  # 4 + 4 - 8 = 0
-    assert not check_tuple(DEMO_U, [1] * 9).ok  # no negative entry
-    bad = (1, 1, 1, 1, 4, 4, 4, 4, -3)
-    v = check_tuple(DEMO_U, bad)
-    assert not v.ok and "8/3" in v.reason or not v.ok
+    assert check_tuple(DEMO_U, demo_tuple()).ok  # 4 + 4 - 8 = 0
+    v = check_tuple(DEMO_U, WeightTuple((1, 1, 1, 1, 4, 4, 4, 4, -3)))  # 4 + 4 - 16/3
+    assert not v.ok and v.reason == "sum u_i^2/a_i = 8/3 != 0"
 
 
 def test_weight_tuple_validation():
@@ -117,7 +117,7 @@ def test_functional_demo_values():
     assert alpha(f0) == 42
     assert alpha(PAPER_SEXTIC) == 0
     # scaling invariance of downstream structure
-    assert alpha.scaled(5)(f0) == 210
+    assert _scaled(alpha, 5)(f0) == 210
 
 
 def test_functional_round_trip():
@@ -294,15 +294,10 @@ def test_empty_zero_check():
 
 
 def test_strict_positivity():
-    assert strict_positivity_cert(PAPER_SEXTIC, (P1, P2, P3)) is PositivityVerdict.STRICTLY_POSITIVE
-    x1, x2, x3 = (Poly.variable(i, 3) for i in (1, 2, 3))
-    f0 = x1**6 + x2**6 + x3**6
-    assert strict_positivity_cert(f0, (x1**3, x2**3, x3**3)) is PositivityVerdict.STRICTLY_POSITIVE
-    qs = (x1**3, x1**2 * x2, x1**2 * x3)
-    f = sum((q * q for q in qs), Poly.zero(3))
-    assert strict_positivity_cert(f, qs) is PositivityVerdict.INCONCLUSIVE
-    with pytest.raises(NotASumOverU):
-        strict_positivity_cert(f0, (P1, P2, P3))
+    # the kernel cubics have no common complex zero, so their sum of squares is positive
+    chain = boundary_chain(demo_points(), demo_tuple())
+    assert chain.f == PAPER_SEXTIC
+    assert chain.positivity is PositivityVerdict.STRICTLY_POSITIVE
 
 
 def test_boundary_cert_demo():
@@ -312,7 +307,8 @@ def test_boundary_cert_demo():
     assert cert.alpha_f == 0
     assert cert.psd_rank == 7
     assert cert.kernel_dim == 3
-    assert cert.witness is not None
+    assert cert.witness is None  # derived, not supplied: the extraction is the witness
+    assert cert.extraction.reconstruct_squares() == PAPER_SEXTIC
 
 
 def test_boundary_cert_rejects_interior_form():
@@ -336,7 +332,15 @@ def test_boundary_cert_accepts_explicit_witness():
     alpha = functional_from_tuple(demo_points(), demo_tuple())
     witness = gram_from_squares(SosRep((P1, P2, P3)))
     cert = boundary_cert(PAPER_SEXTIC, alpha, witness=witness)
-    assert cert.certified
+    assert cert.certified and cert.witness is witness
+
+
+def test_boundary_cert_rejects_a_witness_of_another_form():
+    alpha = functional_from_tuple(demo_points(), demo_tuple())
+    witness = gram_from_squares(SosRep((P1, P2, 2 * P3)))
+    cert = boundary_cert(PAPER_SEXTIC, alpha, witness=witness)
+    assert not cert.certified
+    assert cert.reason == "supplied witness is not a Gram point of f"
 
 
 def test_uniqueness_cert_demo():
@@ -352,7 +356,7 @@ def test_uniqueness_cert_demo():
 
 def test_uniqueness_cert_scaling_invariance():
     alpha = functional_from_tuple(demo_points(), demo_tuple())
-    cert5 = uniqueness_cert(boundary_cert(PAPER_SEXTIC, alpha.scaled(5)))
+    cert5 = uniqueness_cert(boundary_cert(PAPER_SEXTIC, _scaled(alpha, 5)))
     assert cert5.certified
     assert cert5.restricted_gram == SymMatrix.identity(3)
     assert set(cert5.kernel_basis) == {P1, P2, P3}
@@ -420,7 +424,7 @@ def test_uniqueness_cert_reads_the_boundary_extraction(monkeypatch):
 
 def test_uniqueness_cert_extracts_after_a_supplied_witness(monkeypatch):
     alpha = functional_from_tuple(demo_points(), demo_tuple())
-    bc = boundary_cert(PAPER_SEXTIC, alpha, witness=SosRep((P1, P2, P3)))
+    bc = boundary_cert(PAPER_SEXTIC, alpha, witness=gram_from_squares(SosRep((P1, P2, P3))))
     assert bc.certified and bc.extraction is None
     uc = uniqueness_cert(bc)
     assert uc.certified and uc.restricted_gram == SymMatrix.identity(3)

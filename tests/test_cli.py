@@ -11,6 +11,8 @@ from ratsos.cli import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, ru
 from ratsos.linalg import SymMatrix, psd_check, rank
 from ratsos.poly import Poly, monomials
 
+CONDITIONAL = "conclusion: ConditionalNotQSos (assumes the supplied group is the Galois group)"
+
 
 def test_groups_table_degree4():
     res = run(["groups", "table", "--catalog", "degree4.cat"])
@@ -60,15 +62,34 @@ def test_groups_classify_past_the_bound():
 
 
 def test_field_obstruct_sifts_membership_past_the_bound(monkeypatch):
-    # the verdict rests on sifting tau, whatever the enumeration bound
+    # the verdict rests on sifting tau, whatever the enumeration bound; it
+    # also rests on the supplied group, so it is conditional and exits 2
     monkeypatch.setattr(permgroup, "ENUM_BOUND", 100)
     res = run(["field", "obstruct", "--minpoly=t^6+t+1", "--galois-gens=(1 2 3 4 5 6),(1 2)"])
-    assert res.exit_code == EXIT_OK
+    assert res.exit_code == EXIT_INCONCLUSIVE
     lines = res.report.splitlines()
     assert "Galois action: user (order 720)" in lines
     assert "tau membership in group: verified" in lines
     assert "check tau in group: pass (group order 720)" in lines
-    assert lines[-1] == "conclusion: NotQSos"
+    assert lines[-1] == CONDITIONAL
+
+
+@pytest.mark.parametrize(
+    "minpoly, gens",
+    [
+        ("t^6+1", "(1 2 3 4 5 6),(1 2)"),  # reducible: (t^2+1)(t^4-t^2+1)
+        ("t^6+t^3+1", "(1 2 3 4 5 6),(1 2)"),  # Q(zeta_9) contains Q(sqrt(-3)): a^2+3b^2 is a rational SOS
+        ("t^8+1", "(1 2 3 4 5 6 7 8),(1 2)"),  # Q(zeta_16) contains Q(i)
+        ("t^4+2", "(1 2 3 4),(1 2)"),  # S4 given for a D4 field, where c = d
+    ],
+    ids=["reducible", "zeta9", "zeta16", "d4-given-as-s4"],
+)
+def test_field_obstruct_never_certifies_from_a_wrong_supplied_group(minpoly, gens):
+    # a symmetric group that is not the Galois group satisfies (**): the
+    # conclusion names the assumption and the run exits 2, never 0
+    res = run(["field", "obstruct", "--minpoly", minpoly, "--galois-gens", gens])
+    assert res.exit_code == EXIT_INCONCLUSIVE
+    assert res.report.splitlines()[-1] == CONDITIONAL
 
 
 def test_field_obstruct_refutes_tau_outside_the_group():

@@ -111,7 +111,7 @@ def test_span_basis():
     target = rref([p.coeff_vector(basis) for p in (P1, P2, P3)])[0]
     got = rref([p.coeff_vector(basis) for p in sp])[0]
     assert target == got
-    zero = GramPoint(2, 1, SymMatrix.zeros(2))
+    zero = GramPoint(2, 1, SymMatrix.from_rows([[0, 0], [0, 0]]))
     assert span_basis(zero) == []
 
 

@@ -13,13 +13,11 @@ from ratsos.errors import (
     GaloisDataMissing,
     NotMonic,
     NotSquarefree,
-    NotTotallyImaginary,
     Reducible,
     ZeroPolynomial,
 )
 from ratsos.numfield import (
     Conclusion,
-    GaloisData,
     GeneralPosition,
     canonical_linear_form,
     general_position,
@@ -27,7 +25,6 @@ from ratsos.numfield import (
     norm_form,
     obstruction_check,
     quartic_galois,
-    real_sos2_witness,
 )
 from ratsos.permgroup import GroupDesc, Perm, enumerate_group
 from ratsos.poly import Poly, UniPoly
@@ -58,8 +55,7 @@ def test_isolate_t4_plus_2():
     mag = 2 ** 0.25 / 2 ** 0.5
     expected = [(-mag, -mag), (-mag, mag), (mag, -mag), (mag, mag)]
     for box, (er, ei) in zip(rs.boxes, expected):
-        assert box.re.contains(Fraction(er).limit_denominator(10**6)) or abs(float(box.re.midpoint()) - er) < 1e-3
-        assert abs(float(box.im.midpoint()) - ei) < 1e-3
+        assert abs(complex(*map(float, _centre(box))) - complex(er, ei)) < 1e-3
     # tau pairs {pi/4, 7pi/4} and {3pi/4, 5pi/4}: indices (2 3) and (0 1)
     assert rs.pairing == Perm.parse("(1 2)(3 4)")
 
@@ -70,7 +66,7 @@ def test_isolate_real_roots_flagged():
     fixed = rs.pairing.fixed_points()
     assert len(fixed) == 2  # two real roots stay put under conjugation
     for i in fixed:
-        assert rs.boxes[i].is_symmetric_about_real_axis()
+        assert rs.boxes[i].im.lo == -rs.boxes[i].im.hi
 
 
 def test_isolate_rejects_repeated_roots():
@@ -212,22 +208,6 @@ def test_verified_upper_root_failed_bracket_raises(monkeypatch):
         numfield._verified_upper_root(Fraction(100), 2)
 
 
-def test_real_sos2_witness_gaussian():
-    w = real_sos2_witness(U("t^2+1"), (UniPoly([1]), UniPoly([0, 1])))
-    assert w.residual == 0.0
-    assert w.g_re == {(1, 0): 1.0, (0, 1): 0.0} or w.g_re.get((1, 0)) == 1.0
-
-
-def test_real_sos2_witness_quartic():
-    w = real_sos2_witness(U("t^4+2"))
-    assert w.residual < 1e-30
-
-
-def test_real_sos2_rejects_real_embeddings():
-    with pytest.raises(NotTotallyImaginary):
-        real_sos2_witness(U("t^4-t-1"))
-
-
 def test_general_position_canonical():
     assert general_position(isolate_roots(U("t^4+t+1"))) is GeneralPosition.EXACT_VANDERMONDE
     assert general_position(isolate_roots(U("t^4+2"))) is GeneralPosition.EXACT_VANDERMONDE
@@ -245,7 +225,7 @@ def test_general_position_degenerate():
 
 def test_quartic_galois_s4():
     qg = quartic_galois(U("t^4+t+1"))
-    assert qg.label == "S4"
+    assert qg.group.label == "S4"
     assert qg.resolvent == U("t^3 - 4*t - 1")
     assert qg.discriminant == 229
     assert len(enumerate_group(qg.group)) == 24
@@ -265,7 +245,7 @@ def test_quartic_galois_resolvent_with_two_rational_roots_raises(monkeypatch):
 
 def test_quartic_galois_d4():
     qg = quartic_galois(U("t^4+2"))
-    assert qg.label == "D4"
+    assert qg.group.label == "D4"
     assert qg.resolvent == U("t^3 - 8*t")
     assert len(enumerate_group(qg.group)) == 8
     # tau must lie in the emitted group
@@ -274,21 +254,21 @@ def test_quartic_galois_d4():
 
 def test_quartic_galois_v4():
     qg = quartic_galois(U("t^4+1"))
-    assert qg.label == "V4"
+    assert qg.group.label == "V4"
     assert len(enumerate_group(qg.group)) == 4
 
 
 def test_quartic_galois_c4():
     # t^4 + t^3 + t^2 + t + 1 (5th cyclotomic) has Galois group C4
     qg = quartic_galois(U("t^4+t^3+t^2+t+1"))
-    assert qg.label == "C4"
+    assert qg.group.label == "C4"
     assert len(enumerate_group(qg.group)) == 4
 
 
 def test_quartic_galois_a4():
     # x^4 + 8x + 12 is the standard A4 quartic (disc 331776 = 576^2)
     qg = quartic_galois(U("t^4+8*t+12"))
-    assert qg.label == "A4"
+    assert qg.group.label == "A4"
     assert len(enumerate_group(qg.group)) == 12
 
 
@@ -333,19 +313,23 @@ def test_obstruction_with_supplied_galois_sextic():
     m = U("t^6+t^5+t^4+t^3+t^2+t+1")
     rs = isolate_roots(m)
     group = GroupDesc(6, (_regular_c6_generator(rs),), "C6")
-    cert = obstruction_check(m, galois=GaloisData(group=group, label="C6"))
+    cert = obstruction_check(m, group=group)
     assert cert.conclusion is Conclusion.NO_OBSTRUCTION  # abelian: c = 1
     assert cert.c == 1
+    assert cert.group_label == "C6"
+
+
+def _centre(box):
+    return (box.re.lo + box.re.hi) / 2, (box.im.lo + box.im.hi) / 2
 
 
 def _regular_c6_generator(rs):
     # multiplication zeta -> zeta^3 (3 generates (Z/7)*) permutes the root boxes
-    import mpmath
-
+    centres = [complex(*map(float, _centre(box))) for box in rs.boxes]
     images = [0] * 6
-    for i, z in enumerate(rs.approx):
+    for i, z in enumerate(centres):
         w = z**3
-        dists = [abs(w - u) for u in rs.approx]
+        dists = [abs(w - u) for u in centres]
         images[i] = dists.index(min(dists))
     return Perm(images)
 
@@ -362,7 +346,7 @@ def test_pairing_boxes_mirror_each_other():
         assert rs.totally_imaginary
         assert rs.pairing.is_involution() and rs.pairing.is_fixed_point_free()
         for i, box in enumerate(rs.boxes):
-            j = rs.pairing.apply(i)
+            j = rs.pairing.images[i]
             assert box.conjugate().overlaps(rs.boxes[j])
 
 

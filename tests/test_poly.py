@@ -55,18 +55,16 @@ def test_poly_arithmetic():
     p = (x1 + x2) * (x1 - x2)
     assert p == x1 * x1 - x2 * x2
     assert (x1 + x2) ** 2 == x1**2 + 2 * x1 * x2 + x2**2
-    assert (x1 - x1).is_zero()
+    assert not (x1 - x1)
     q = Fraction(1, 2) * x1
     assert q.coefficient((1, 0, 0)) == Fraction(1, 2)
     assert (x1 / 2) == q
 
 
-def test_graded_part_and_degree():
+def test_degree_and_homogeneity():
     p = x1**3 + x2 * x3 + Poly.constant(3, 5)
     assert p.degree() == 3
     assert not p.is_homogeneous()
-    assert p.graded_part(2) == x2 * x3
-    assert p.graded_part(3) == x1**3
     assert (x1**2 + x2**2).is_homogeneous()
     assert Poly.zero(3).degree() == -1
 
@@ -138,7 +136,7 @@ def test_both_parsers_reject_the_same_malformed_terms(template):
     with pytest.raises(ParseError):
         Poly.parse(template.format(v="x1"))
     with pytest.raises(ParseError):
-        UniPoly.parse(template.format(v="t"), var="t")
+        UniPoly.parse(template.format(v="t"))
 
 
 def test_unipoly_parse_and_print():
@@ -146,7 +144,8 @@ def test_unipoly_parse_and_print():
     assert m.coeffs == (1, 1, 0, 0, 1)
     assert str(m) == "t^4 + t + 1"
     assert UniPoly.parse(str(m)) == m
-    assert UniPoly.parse("y^2 - 2*y + 1") == UniPoly([1, -2, 1])
+    with pytest.raises(ParseError):  # the variable is always t
+        UniPoly.parse("y^2 - 2*y + 1")
     assert UniPoly.parse("-t") == UniPoly([0, -1])
     assert UniPoly.parse("3/2") == UniPoly([Fraction(3, 2)])
 
@@ -155,7 +154,7 @@ def test_unipoly_divmod_gcd():
     a = UniPoly.parse("t^3 - 1")
     b = UniPoly.parse("t - 1")
     q, r = divmod(a, b)
-    assert r.is_zero()
+    assert not r
     assert q == UniPoly.parse("t^2 + t + 1")
     assert a.gcd(UniPoly.parse("t^2 - 1")) == UniPoly.parse("t - 1")
     assert a.gcd(UniPoly.parse("t + 2")).degree() == 0

@@ -1,6 +1,7 @@
 """Guards on the library and script sources themselves."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,3 +22,56 @@ def test_library_has_no_assert_statements():
     assert len(list(SRC.glob("*.py"))) > 10
     assert SCRIPTS / "build_catalogs.py" in paths
     assert found == []
+
+
+
+# library definitions that no command, script or benchmark reaches, kept
+# because tests build their expected values with them
+TEST_REFERENCE_HELPERS = {
+    "demo_kernel_cubics": "the paper's kernel cubics, expected by the boundary and CLI tests",
+    "monomial": "the shifted monomials of the test-local Hilbert-function references",
+}
+
+
+def _mentions(tree) -> Counter:
+    """How often ``tree`` names each identifier, by kind.
+
+    ``attr`` counts attribute accesses and equal string constants (the
+    benchmark looks functions up by name); ``name`` counts bare names and
+    imports.  A method is named by the first kind, a function or class by
+    either.
+    """
+    counts = Counter()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute):
+            counts["attr", sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            counts["attr", sub.value] += 1
+        elif isinstance(sub, ast.Name):
+            counts["name", sub.id] += 1
+        elif isinstance(sub, ast.alias):
+            counts["name", sub.name] += 1
+    return counts
+
+
+def test_every_library_definition_has_a_caller():
+    # callers: the library (its __init__ re-exports aside), scripts/ and perfbench/, not tests
+    library = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    caller_paths = [path for path in library if path.name != "__init__.py"]
+    caller_paths += sorted(SCRIPTS.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    assert ROOT / "perfbench" / "spans.py" in caller_paths
+    mentions = Counter()
+    for path in caller_paths:
+        mentions += _mentions(library.get(path) or ast.parse(path.read_text()))
+    unnamed = []
+    for tree in library.values():
+        for parent in ast.walk(tree):
+            for node in ast.iter_child_nodes(parent):
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
+                    continue
+                kinds = ("attr",) if isinstance(parent, ast.ClassDef) else ("attr", "name")
+                own = _mentions(node)
+                if not any(mentions[kind, node.name] > own[kind, node.name] for kind in kinds):
+                    unnamed.append(node.name)
+    assert sorted(TEST_REFERENCE_HELPERS) == sorted(set(unnamed) & set(TEST_REFERENCE_HELPERS))
+    assert [name for name in unnamed if name not in TEST_REFERENCE_HELPERS] == []

@@ -76,7 +76,7 @@ def test_boundary_chain_runs_each_stage_once(monkeypatch, argv):
         "hilbert_function": 1,
         "extract_qsos": 1,
         "kernel_cubics": 1,
-        "psd_check": 3,  # moment matrix, kernel Gram matrix, membership witness
+        "psd_check": 2,  # moment matrix, kernel Gram matrix; the extraction is the witness
         "moment psd_check": 1,
     }
 
@@ -93,7 +93,8 @@ def test_boundary_certify_extracts_once(monkeypatch, witness):
         "hilbert_function": 0,
         "extract_qsos": 1,
         "kernel_cubics": 1,
-        "psd_check": 3,  # moment matrix, kernel Gram matrix, membership witness
+        # moment matrix, kernel Gram matrix, and a supplied witness
+        "psd_check": 3 if witness else 2,
         "moment psd_check": 1,
     }
 
@@ -115,7 +116,7 @@ def test_groups_classify_enumerates_once(monkeypatch):
     "argv, exit_code",
     [
         (["field", "obstruct", "--minpoly", "t^4+t+1"], EXIT_OK),
-        (["field", "obstruct", "--minpoly=t^6+t+1", "--galois-gens=(1 2 3 4 5 6),(1 2)"], EXIT_OK),
+        (["field", "obstruct", "--minpoly=t^6+t+1", "--galois-gens=(1 2 3 4 5 6),(1 2)"], EXIT_INCONCLUSIVE),
         (["groups", "char-number", "--gens", "(1 2 3 4),(1 3)", "--inv", "(1 2)(3 4)"], EXIT_OK),
     ],
     ids=["obstruct-quartic", "obstruct-galois-gens", "char-number"],
