@@ -43,6 +43,7 @@ from ratsos.permgroup import (
     compose,
     format_catalog,
     invert,
+    orbit_closure,
     parse_catalog,
     schreier_sims,
 )
@@ -75,18 +76,9 @@ def orbit_sizes(h, n):
     remaining = set(range(n))
     sizes = []
     while remaining:
-        start = min(remaining)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for g in h:
-                y = g[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
+        orbit = orbit_closure(h, [min(remaining)], lambda g, x: g[x])
         sizes.append(len(orbit))
-        remaining -= orbit
+        remaining.difference_update(orbit)
     return tuple(sorted(sizes))
 
 

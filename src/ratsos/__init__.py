@@ -81,7 +81,7 @@ from .permgroup import (
     schreier_sims,
 )
 from .poly import Poly, UniPoly, monomials
-from .resultants import discriminant, pencil_det, resultant, resultant_rational
+from .resultants import pencil_det, resultant
 from .sturm import count_real_roots, isolate_real_roots, rational_roots, sturm_chain
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .gram import GramPoint, QSosWitness, extract_qsos, is_gram_point
 from .linalg import SymMatrix, nullspace, psd_check, rank
-from .poly import Poly, monomials, parse_rational, primitive_vector
+from .poly import Poly, data_lines, monomials, parse_rational, primitive_vector, sum_of_squares
 
 CUBICS = monomials(3, 3)  # 10 monomials
 SEXTICS = monomials(3, 6)  # 28 monomials
@@ -58,13 +58,10 @@ class NinePointConfig:
     @classmethod
     def parse(cls, text: str) -> "NinePointConfig":
         rows = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for _, line in data_lines(text):
             parts = [p for p in line.split(",") if p.strip()]
             if len(parts) != 3:
-                raise ParseError(f"point line needs 3 coordinates: {raw!r}")
+                raise ParseError(f"point line needs 3 coordinates: {line!r}")
             rows.append(tuple(parse_rational(p) for p in parts))
         if len(rows) != 9:
             raise ParseError(f"expected 9 point lines, got {len(rows)}")
@@ -192,7 +189,7 @@ class LinearFunctional:
 
     @classmethod
     def parse(cls, text: str) -> "LinearFunctional":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+        lines = [line for _, line in data_lines(text)]
         if not lines or not lines[0].startswith("functional"):
             raise ParseError("functional file must start with a 'functional n=3 2d=6' header")
         vals = [parse_rational(v) for ln in lines[1:] for v in ln.split()]
@@ -252,10 +249,7 @@ def assemble_sextic(qs: Sequence[Poly]) -> Poly:
     rows = [q.coeff_vector(CUBICS) for q in qs]
     if rank(rows) != 3:
         raise LinearlyDependent("cubics are linearly dependent")
-    total = Poly.zero(3)
-    for q in qs:
-        total = total + q * q
-    return total
+    return sum_of_squares(qs)
 
 
 def hilbert_function(u_basis: Sequence[Poly]) -> tuple[int, ...]:

@@ -3,7 +3,8 @@
 Exit codes: 0 = certified/success, 1 = refuted/negative verdict,
 2 = inconclusive, 3 = input error.  A NotQSos certificate is a *success*
 of the obstruction method (exit 0); one that rests on a Galois group from
-``--galois-gens`` is conditional and exits 2.  Negative verdicts about
+``--galois-gens`` of degree > 4 is conditional and exits 2 (a supplied
+quartic group is checked against the derived one).  Negative verdicts about
 the inputs (alpha(f) != 0, an indefinite Gram matrix) map to exit 1.
 Reports embed every intermediate exact value so they can be re-verified
 independently.
@@ -39,7 +40,7 @@ from .permgroup import (
     parse_catalog,
     parse_generators,
 )
-from .poly import Poly, UniPoly, _format_monomial, parse_rational
+from .poly import Poly, UniPoly, _format_monomial, data_lines, parse_rational
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -60,23 +61,29 @@ def _parse_linform(text: str) -> tuple[UniPoly, ...]:
     return tuple(UniPoly.parse(c) for c in chunks)
 
 
+def _is_file(source: str) -> bool:
+    """Whether ``source`` names a file; text too long for a path name is not one."""
+    try:
+        return Path(source).is_file()
+    except OSError:
+        return False
+
+
 def _load_catalog(source: str):
-    path = Path(source)
-    if path.is_file():
-        return parse_catalog(path.read_text())
+    if _is_file(source):
+        return parse_catalog(Path(source).read_text())
     if source in ("degree4.cat", "degree6.cat", "degree8.cat"):
         return load_bundled_catalog(int(source[6]))
     raise FileNotFoundError(f"no catalog file or bundled catalog named {source!r}")
 
 
 def _read_poly_file(source: str, nvars: int | None = None) -> Poly:
-    path = Path(source)
-    text = path.read_text() if path.is_file() else source
+    text = Path(source).read_text() if _is_file(source) else source
     return Poly.parse(text.strip(), nvars=nvars)
 
 
 def _parse_gram_file(text: str) -> gr.GramPoint:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [line for _, line in data_lines(text)]
     if not lines or not lines[0].startswith("gram"):
         raise RatsosError("gram file must start with 'gram n=<vars> d=<half-degree>'")
     header = dict(part.split("=") for part in lines[0].split()[1:])
@@ -121,7 +128,7 @@ def cmd_groups(args) -> CommandResult:
         return CommandResult(EXIT_OK, "\n".join(lines))
 
     if args.subcommand == "classify":
-        group = GroupDesc.from_text(args.gens, args.degree, label=args.label or "")
+        group = GroupDesc.from_text(args.gens, args.degree)
         analysis = classify(group)
         lines = [
             f"group on {group.degree} points, order {analysis.order}",
@@ -177,7 +184,7 @@ def cmd_field(args) -> CommandResult:
         group = None
         if args.galois_gens:
             gens = parse_generators(args.galois_gens, m.degree())
-            group = GroupDesc(m.degree(), gens, args.galois_label or "user")
+            group = GroupDesc(m.degree(), gens, "user")
         cert = nf.obstruction_check(m, lin, group=group)
         if cert.conclusion is nf.Conclusion.NOT_Q_SOS:
             return CommandResult(EXIT_OK, cert.render())
@@ -281,15 +288,12 @@ def cmd_gram(args) -> CommandResult:
     if args.subcommand == "verify":
         f = _read_poly_file(args.form)
         squares = _parse_poly_list(args.squares, nvars=f.nvars)
-        rep = gr.SosRep(tuple(squares))
-        point = gr.gram_from_squares(rep)
-        ok = gr.is_gram_point(point, f)
-        if not ok:
-            return CommandResult(
-                EXIT_NEGATIVE, f"squares expand to {rep.polynomial()}, not the given form"
-            )
-        dim, extreme = gr.face_dimension(rep)
+        point = gr.gram_from_squares(gr.SosRep(tuple(squares)))
+        expanded = gr.mu(point)
+        if expanded != f:
+            return CommandResult(EXIT_NEGATIVE, f"squares expand to {expanded}, not the given form")
         span = gr.span_basis(point)
+        dim, extreme = gr.face_dimension(span)
         lines = [
             "valid Gram point",
             f"span dimension: {len(span)}",
@@ -357,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         "obstructions, Gram spectrahedra, boundary sextics.",
         epilog="Exit codes: 0 certified/success, 1 refuted, 2 inconclusive, 3 input error. "
         "A NotQSos certificate is a success of the method and exits 0; "
-        "one that assumes a Galois group from --galois-gens exits 2.",
+        "one that assumes a Galois group of degree > 4 from --galois-gens exits 2.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -369,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     cls = gsub.add_parser("classify", help="analyze one group")
     cls.add_argument("--gens", required=True)
     cls.add_argument("--degree", type=int)
-    cls.add_argument("--label")
     cn = gsub.add_parser("char-number", help="characteristic number of an involution")
     cn.add_argument("--gens", required=True)
     cn.add_argument("--inv", required=True)
@@ -386,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--minpoly", required=True)
     obs.add_argument("--linform")
     obs.add_argument("--galois-gens", help="generators of the Galois action (degree > 4)")
-    obs.add_argument("--galois-label")
 
     boundary = sub.add_parser("boundary", help="nine-point boundary constructions")
     bsub = boundary.add_subparsers(dest="subcommand", required=True)
@@ -436,7 +438,7 @@ def run(argv=None) -> CommandResult:
         return DISPATCH[args.command](args)
     except CheckFailed as exc:
         return CommandResult(EXIT_INCONCLUSIVE, f"{type(exc).__name__}: {exc}")
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing input, or an output path that cannot be written
         return CommandResult(EXIT_INPUT, f"input error: {exc}")
     except RatsosError as exc:
         return CommandResult(EXIT_INPUT, f"{type(exc).__name__}: {exc}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
+from typing import Sequence
 
 from .errors import (
     CheckFailed,
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .foursquares import four_squares
 from .linalg import SymMatrix, lin_solve, psd_check, rank, rref
-from .poly import Poly, UniPoly, monomials, primitive_vector
+from .poly import Poly, UniPoly, monomials, primitive_vector, sum_of_squares
 from .resultants import pencil_det
 from .sturm import isolate_real_roots, rational_roots, refine_interval, sturm_chain
 
@@ -81,12 +82,6 @@ class SosRep:
     def degree(self) -> int:
         degs = [p.degree() for p in self.squares if p]
         return degs[0] if degs else 0
-
-    def polynomial(self) -> Poly:
-        total = Poly.zero(self.nvars)
-        for p in self.squares:
-            total = total + p * p
-        return total
 
 
 def gram_from_squares(rep: SosRep) -> GramPoint:
@@ -144,20 +139,18 @@ def _echelon_forms(point: GramPoint, reduced) -> list[Poly]:
     ]
 
 
-def face_dimension(rep: SosRep) -> tuple[int, bool]:
+def face_dimension(span: Sequence[Poly]) -> tuple[int, bool]:
     """(dim of the supporting face, whether the squares are quadratically
-    independent).
+    independent), from a basis p_1..p_r of the span of the squares, such as
+    :func:`span_basis` of their Gram point.
 
-    dim F = C(r+1, 2) - rank{p_i p_j : i <= j} for linearly independent
-    p_1..p_r; the Gram point is extreme iff dim F = 0.
+    dim F = C(r+1, 2) - rank{p_i p_j : i <= j}; the Gram point is extreme
+    iff dim F = 0.
     """
-    basis = monomials(rep.nvars, rep.degree)
-    rows, _ = rref([p.coeff_vector(basis) for p in rep.squares if p])
-    ps = [Poly.from_coeff_vector(rep.nvars, basis, row) for row in rows]
-    r = len(ps)
-    big = monomials(rep.nvars, 2 * rep.degree)
-    prod_rows = [(ps[i] * ps[j]).coeff_vector(big) for i, j in combinations_with_replacement(range(r), 2)]
-    dim_f = comb(r + 1, 2) - rank(prod_rows)
+    r = len(span)
+    prods = [span[i] * span[j] for i, j in combinations_with_replacement(range(r), 2)]
+    columns = sorted({e for p in prods for e in p.terms})
+    dim_f = comb(r + 1, 2) - rank([p.coeff_vector(columns) for p in prods])
     return dim_f, dim_f == 0
 
 
@@ -172,16 +165,10 @@ class QSosWitness:
     gram: SymMatrix
 
     def reconstruct_weighted(self) -> Poly:
-        total = Poly.zero(self.polys[0].nvars)
-        for w, p in zip(self.weights, self.polys):
-            total = total + w * (p * p)
-        return total
+        return sum_of_squares(self.polys, self.weights)
 
     def reconstruct_squares(self) -> Poly:
-        total = Poly.zero(self.expanded[0].nvars)
-        for p in self.expanded:
-            total = total + p * p
-        return total
+        return sum_of_squares(self.expanded)
 
     def render(self) -> str:
         parts = " + ".join(f"({p})^2" for p in self.expanded)

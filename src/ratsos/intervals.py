@@ -46,12 +46,6 @@ class Interval:
         )
         return Interval(min(products), max(products))
 
-    def scale(self, c) -> "Interval":
-        c = Fraction(c)
-        if c >= 0:
-            return Interval(self.lo * c, self.hi * c)
-        return Interval(self.hi * c, self.lo * c)
-
     def contains(self, x) -> bool:
         x = Fraction(x)
         return self.lo <= x <= self.hi

@@ -14,6 +14,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 from typing import Sequence
 
 import mpmath
@@ -32,7 +33,7 @@ from .errors import (
 from .intervals import Box, Interval, det3_box, eval_unipoly_box
 from .permgroup import GroupDesc, Perm, char_number
 from .poly import Poly, UniPoly
-from .resultants import discriminant, pencil_det
+from .resultants import pencil_det
 from .sturm import count_real_roots, rational_roots, sturm_chain
 
 DEFAULT_PRECISION_BITS = 128
@@ -308,14 +309,12 @@ def general_position(roots: RootSystem, lin: tuple[UniPoly, ...] | None = None) 
 # quartic Galois groups
 
 
-def _is_rational_square(x: Fraction) -> bool:
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    """The rational r >= 0 with r^2 = x, or None when x is not a rational square."""
     if x < 0:
-        return False
-    from math import isqrt
-
-    p, q = x.numerator, x.denominator
-    rp, rq = isqrt(p), isqrt(q)
-    return rp * rp == p and rq * rq == q
+        return None
+    p, q = isqrt(x.numerator), isqrt(x.denominator)
+    return Fraction(p, q) if p * p == x.numerator and q * q == x.denominator else None
 
 
 def _depress_quartic(m: UniPoly) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -335,18 +334,14 @@ def _quartic_reducible(
     for y0 in resolvent_roots:
         if q != 0:
             e1 = y0 - p
-            if e1 != 0 and _is_rational_square(e1):
+            if e1 != 0 and _rational_sqrt(e1) is not None:
                 return True
         else:
-            if _is_rational_square(p * p - 4 * r):
+            if _rational_sqrt(p * p - 4 * r) is not None:
                 return True
-            if _is_rational_square(r):
-                from math import isqrt
-
-                sr = Fraction(isqrt(r.numerator), isqrt(r.denominator))
-                for b in (sr, -sr):
-                    if _is_rational_square(2 * b - p):
-                        return True
+            sr = _rational_sqrt(r)
+            if sr is not None and any(_rational_sqrt(2 * b - p) is not None for b in (sr, -sr)):
+                return True
     return False
 
 
@@ -371,18 +366,21 @@ def quartic_galois(m: UniPoly, chain: Sequence = ()) -> QuarticGalois:
     if m.degree() != 4:
         raise DegreeTooSmall("quartic Galois analysis needs degree exactly 4")
     m = m.monic()
-    disc = discriminant(m)
-    if disc == 0:
-        raise Reducible("polynomial has repeated roots")
     _, p, q, r = _depress_quartic(m)
     resolvent = UniPoly([4 * p * r - q * q, -4 * r, -p, Fraction(1)])
+    # the resolvent roots x1x2 + x3x4, ... differ pairwise by (xa - xb)(xc - xd),
+    # so the discriminant of the cubic y^3 + b y^2 + c y + d is disc(m)
+    d, c, b, _ = resolvent.coeffs
+    disc = b * b * c * c - 4 * c**3 - 4 * b**3 * d - 27 * d * d + 18 * b * c * d
+    if disc == 0:
+        raise Reducible("polynomial has repeated roots")
     roots = rational_roots(resolvent)
     chain = tuple(chain or sturm_chain(m))
     if _quartic_reducible(m, chain, p, q, r, roots):
         raise Reducible(f"{m} has a proper rational factor")
     rs = isolate_roots(m, chain=chain)
     if len(roots) == 0:
-        label = "A4" if _is_rational_square(disc) else "S4"
+        label = "A4" if _rational_sqrt(disc) is not None else "S4"
         gens = {
             "S4": ("(1 2 3 4)", "(1 2)"),
             "A4": ("(1 2 3)", "(2 3 4)"),
@@ -399,7 +397,7 @@ def quartic_galois(m: UniPoly, chain: Sequence = ()) -> QuarticGalois:
     y0 = roots[0]
     e1 = y0 - p
     e2 = y0 * y0 - 4 * r
-    is_c4 = (e1 != 0 and _is_rational_square(e1 * disc)) or (e2 != 0 and _is_rational_square(e2 * disc))
+    is_c4 = any(e != 0 and _rational_sqrt(e * disc) is not None for e in (e1, e2))
     label = "C4" if is_c4 else "D4"
     pairing = _identify_pairing(rs, y0)
     (a, b), (c, d) = pairing
@@ -458,8 +456,8 @@ class ObstructionCert:
 
     ``conclusion`` is NOT_Q_SOS only when the totally-imaginary, squarefree
     and general-position checks all pass and c >= d + 1 (condition (**))
-    for the derived quartic Galois group; for a supplied group it is
-    CONDITIONAL_NOT_Q_SOS instead.
+    for the derived quartic Galois group; for a supplied group of degree > 4
+    it is CONDITIONAL_NOT_Q_SOS instead.
     ``precision_bits`` is that of the isolated roots, None when the
     certificate stops before any root is isolated.
     """
@@ -509,10 +507,11 @@ def obstruction_check(
 ) -> ObstructionCert:
     """Run the full norm-form obstruction pipeline.
 
-    Degree-4 inputs derive their Galois group when ``group`` is None; higher
-    degrees require it as input, acting on the root indices of
-    ``isolate_roots(m)``.  A supplied group is an assumption, so the most
-    it supports is CONDITIONAL_NOT_Q_SOS.  tau is never supplied.  One
+    Degree-4 inputs always derive their Galois group; a supplied one is
+    checked against it by cycle types and, when conjugate, replaced by it.
+    Higher degrees require ``group`` as input, acting on the root indices
+    of ``isolate_roots(m)``; it is an assumption there, so the most it
+    supports is CONDITIONAL_NOT_Q_SOS.  tau is never supplied.  One
     Sturm chain of m serves the squarefree and real-root checks and the
     isolation, and the roots of m are isolated once (by ``quartic_galois``
     or here): tau is their certified conjugation pairing, and the same
@@ -558,16 +557,25 @@ def obstruction_check(
         return bail()
     checks.append(CheckRecord("totally imaginary", "pass", "Sturm count 0, exact"))
 
-    if group is None:
-        if two_d != 4:
-            raise GaloisDataMissing("degree > 4 requires explicit Galois data")
+    if two_d == 4:
         try:
             qg = quartic_galois(m, chain)
         except Reducible as exc:
             checks.append(CheckRecord("irreducible", "fail", str(exc)))
             return bail()
         checks.append(CheckRecord("irreducible", "pass", "quartic screens"))
-        group, rs, proven = qg.group, qg.roots, Conclusion.NOT_Q_SOS
+        rs, proven = qg.roots, Conclusion.NOT_Q_SOS
+        if group is not None:
+            # the multisets of cycle types separate the conjugacy classes of subgroups of S4
+            conjugate = _cycle_types(group) == _cycle_types(qg.group)
+            gens = ",".join(str(g) for g in group.generators)
+            detail = f"supplied {gens} is {'' if conjugate else 'not '}conjugate to the derived {qg.group.label}"
+            checks.append(CheckRecord("supplied group", "pass" if conjugate else "fail", detail))
+            if not conjugate:
+                return bail()
+        group = qg.group
+    elif group is None:
+        raise GaloisDataMissing("degree > 4 requires explicit Galois data")
     else:
         rs, proven = isolate_roots(m, chain=chain), Conclusion.CONDITIONAL_NOT_Q_SOS
     tau = rs.pairing
@@ -597,3 +605,7 @@ def obstruction_check(
     checks.append(CheckRecord("condition (**)", "pass" if starstar else "fail", detail))
     conclusion = proven if starstar else Conclusion.NO_OBSTRUCTION
     return bail(conclusion, c=c, general_position_verdict=gp, **known)
+
+
+def _cycle_types(group: GroupDesc) -> list[tuple[int, ...]]:
+    return sorted(Perm(e).cycle_type() for e in group.chain().elements())

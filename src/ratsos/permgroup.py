@@ -35,6 +35,7 @@ from .errors import (
     ParseError,
     RatsosError,
 )
+from .poly import data_lines
 
 ENUM_BOUND = 10**6  # largest group order that enumerate_group lists
 
@@ -217,9 +218,9 @@ class GroupDesc:
                 raise ValueError("generator degree mismatch")
 
     @classmethod
-    def from_text(cls, gens_text: str, degree: int | None = None, label: str = "") -> "GroupDesc":
+    def from_text(cls, gens_text: str, degree: int | None = None) -> "GroupDesc":
         gens = parse_generators(gens_text, degree)
-        return cls(gens[0].degree, gens, label)
+        return cls(gens[0].degree, gens)
 
     def chain(self) -> "StabChain":
         return schreier_sims([g.images for g in self.generators], self.degree)
@@ -587,10 +588,6 @@ class CatalogTable:
 
     degree: int
     total: int
-    count_fpf: int
-    count_two_transitive: int
-    count_star_not_2trans: int
-    count_starstar_not_star: int
     labels_fpf: tuple[str, ...] = ()
     labels_two_transitive: tuple[str, ...] = ()
     labels_star_not_2trans: tuple[str, ...] = ()
@@ -600,18 +597,18 @@ class CatalogTable:
     def row(self) -> tuple[int, int, int, int, int]:
         return (
             self.degree,
-            self.count_fpf,
-            self.count_two_transitive,
-            self.count_star_not_2trans,
-            self.count_starstar_not_star,
+            len(self.labels_fpf),
+            len(self.labels_two_transitive),
+            len(self.labels_star_not_2trans),
+            len(self.labels_starstar_not_star),
         )
 
     def render(self) -> str:
+        _, fpf, two_trans, star, starstar = self.row()
         lines = [
             f"degree {self.degree}: {self.total} transitive groups in catalog",
             "  n  (1)fpf  (2)2-trans  (3)star-only  (4)starstar-only",
-            f"{self.degree:>3}  {self.count_fpf:>5}  {self.count_two_transitive:>9} "
-            f" {self.count_star_not_2trans:>11}  {self.count_starstar_not_star:>15}",
+            f"{self.degree:>3}  {fpf:>5}  {two_trans:>9}  {star:>11}  {starstar:>15}",
             f"  (3) groups: {', '.join(self.labels_star_not_2trans) or '-'}",
             f"  (4) groups: {', '.join(self.labels_starstar_not_star) or '-'}",
         ]
@@ -655,10 +652,6 @@ def classify_catalog(catalog: Sequence[GroupDesc]) -> CatalogTable:
     return CatalogTable(
         degree=deg,
         total=len(entries),
-        count_fpf=len(cols["fpf"]),
-        count_two_transitive=len(cols["2t"]),
-        count_star_not_2trans=len(cols["star"]),
-        count_starstar_not_star=len(cols["ss"]),
         labels_fpf=tuple(cols["fpf"]),
         labels_two_transitive=tuple(cols["2t"]),
         labels_star_not_2trans=tuple(cols["star"]),
@@ -673,13 +666,10 @@ def classify_catalog(catalog: Sequence[GroupDesc]) -> CatalogTable:
 def parse_catalog(text: str) -> list[GroupDesc]:
     """Catalog format: one group per line, ``degree;label;gen1,gen2,...``."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text):
         parts = line.split(";")
         if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 'degree;label;gens', got {raw!r}")
+            raise ParseError(f"line {lineno}: expected 'degree;label;gens', got {line!r}")
         try:
             deg = int(parts[0])
         except ValueError as exc:

@@ -503,6 +503,21 @@ class UniPoly:
         return f"UniPoly({str(self)!r})"
 
 
+def sum_of_squares(polys: Sequence[Poly], weights: Sequence | None = None) -> Poly:
+    """sum_i w_i p_i^2 for nonempty ``polys``, expanded exactly; w_i = 1 without ``weights``."""
+    squares = (p * p for p in polys) if weights is None else (w * (p * p) for w, p in zip(weights, polys))
+    total = Poly.zero(polys[0].nvars)
+    for s in squares:
+        total = total + s
+    return total
+
+
+def data_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, stripped line) for each line that is neither blank nor a ``#`` comment."""
+    return [(n, line) for n, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.strip()) and not line.startswith("#")]
+
+
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())

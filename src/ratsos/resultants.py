@@ -1,11 +1,9 @@
-"""Exact determinants: linear pencils, Sylvester resultants, discriminants.
+"""Exact determinants: linear pencils and Sylvester resultants.
 
 ``pencil_det`` is the kernel behind the number-field norm forms and the Gram
 shrink line: det(x_1 A_1 + ... + x_k A_k) for square rational matrices is a
 form of degree n, recovered exactly from its values on an integer grid
 (each a ``linalg.det``) by interpolation one variable at a time.
-``resultant_rational`` and ``discriminant`` take ``linalg.det`` of the
-Sylvester matrix.
 
 ``resultant`` keeps the Sylvester resultant with multivariate :class:`Poly`
 coefficients, expanded by ``det_ring``, a memoized Laplace expansion that is
@@ -19,7 +17,7 @@ from typing import Sequence
 
 from .errors import CheckFailed, DimensionMismatch, ZeroPolynomial
 from .linalg import det
-from .poly import Poly, UniPoly
+from .poly import Poly
 
 
 def _check_square(mats: Sequence[Sequence[Sequence]]) -> int:
@@ -175,7 +173,7 @@ def resultant(a: Sequence[Poly], b: Sequence[Poly]) -> Poly:
         raise ZeroPolynomial("resultant of the zero polynomial")
     nvars = next((c.nvars for c in a + b if isinstance(c, Poly)), None)
     if nvars is None:
-        raise ValueError("need at least one Poly coefficient; use resultant_rational otherwise")
+        raise ValueError("need at least one Poly coefficient")
     a = [c if isinstance(c, Poly) else Poly.constant(nvars, c) for c in a]
     b = [c if isinstance(c, Poly) else Poly.constant(nvars, c) for c in b]
     zero = Poly.zero(nvars)
@@ -188,25 +186,3 @@ def resultant(a: Sequence[Poly], b: Sequence[Poly]) -> Poly:
         return b[0] ** m
     return det_ring(sylvester_matrix(a, b, zero), zero)
 
-
-def resultant_rational(a: UniPoly, b: UniPoly) -> Fraction:
-    """Resultant of two rational univariate polynomials."""
-    if not a or not b:
-        raise ZeroPolynomial("resultant of the zero polynomial")
-    m, n = a.degree(), b.degree()
-    if m == 0 and n == 0:
-        return Fraction(1)
-    if m == 0:
-        return a.coeffs[0] ** n
-    if n == 0:
-        return b.coeffs[0] ** m
-    return det(sylvester_matrix(a.coeffs, b.coeffs, Fraction(0)))
-
-
-def discriminant(p: UniPoly) -> Fraction:
-    """disc(p) = (-1)^(n(n-1)/2) Res(p, p') / lc(p)."""
-    n = p.degree()
-    if n < 1:
-        raise ZeroPolynomial("discriminant needs degree >= 1")
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant_rational(p, p.derivative()) / p.lead()

@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from ratsos.linalg import SymMatrix, psd_check, rank
 from ratsos.poly import Poly, monomials
 
 CONDITIONAL = "conclusion: ConditionalNotQSos (assumes the supplied group is the Galois group)"
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def test_groups_table_degree4():
@@ -75,21 +77,43 @@ def test_field_obstruct_sifts_membership_past_the_bound(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "minpoly, gens",
+    "minpoly, gens, conclusion",
     [
-        ("t^6+1", "(1 2 3 4 5 6),(1 2)"),  # reducible: (t^2+1)(t^4-t^2+1)
-        ("t^6+t^3+1", "(1 2 3 4 5 6),(1 2)"),  # Q(zeta_9) contains Q(sqrt(-3)): a^2+3b^2 is a rational SOS
-        ("t^8+1", "(1 2 3 4 5 6 7 8),(1 2)"),  # Q(zeta_16) contains Q(i)
-        ("t^4+2", "(1 2 3 4),(1 2)"),  # S4 given for a D4 field, where c = d
+        ("t^6+1", "(1 2 3 4 5 6),(1 2)", CONDITIONAL),  # reducible: (t^2+1)(t^4-t^2+1)
+        # Q(zeta_9) contains Q(sqrt(-3)): a^2+3b^2 is a rational SOS
+        ("t^6+t^3+1", "(1 2 3 4 5 6),(1 2)", CONDITIONAL),
+        ("t^8+1", "(1 2 3 4 5 6 7 8),(1 2)", CONDITIONAL),  # Q(zeta_16) contains Q(i)
+        # S4 given for a D4 field, where c = d: the derived group refutes it
+        ("t^4+2", "(1 2 3 4),(1 2)", "conclusion: NoObstruction"),
     ],
     ids=["reducible", "zeta9", "zeta16", "d4-given-as-s4"],
 )
-def test_field_obstruct_never_certifies_from_a_wrong_supplied_group(minpoly, gens):
-    # a symmetric group that is not the Galois group satisfies (**): the
-    # conclusion names the assumption and the run exits 2, never 0
+def test_field_obstruct_never_certifies_from_a_wrong_supplied_group(minpoly, gens, conclusion):
+    # a symmetric group that is not the Galois group satisfies (**): a degree > 4
+    # conclusion names the assumption, a quartic one is refuted, and the run exits 2, never 0
     res = run(["field", "obstruct", "--minpoly", minpoly, "--galois-gens", gens])
     assert res.exit_code == EXIT_INCONCLUSIVE
-    assert res.report.splitlines()[-1] == CONDITIONAL
+    assert res.report.splitlines()[-1] == conclusion
+
+
+@pytest.mark.parametrize(
+    "minpoly, gens, exit_code, check, conclusion",
+    [
+        ("t^4+t+1", "(1 2 3 4),(1 2)", EXIT_OK,
+         "check supplied group: pass (supplied (1 2 3 4),(1 2) is conjugate to the derived S4)", "NotQSos"),
+        ("t^4+t+1", "(2 3 4 1),(3 4)", EXIT_OK,
+         "check supplied group: pass (supplied (1 2 3 4),(3 4) is conjugate to the derived S4)", "NotQSos"),
+        ("t^4+2", "(1 2 3 4),(1 2)", EXIT_INCONCLUSIVE,
+         "check supplied group: fail (supplied (1 2 3 4),(1 2) is not conjugate to the derived D4)", "NoObstruction"),
+    ],
+    ids=["s4-given-as-s4", "s4-given-relabelled", "d4-given-as-s4"],
+)
+def test_field_obstruct_checks_a_supplied_quartic_group(minpoly, gens, exit_code, check, conclusion):
+    res = run(["field", "obstruct", "--minpoly", minpoly, "--galois-gens", gens])
+    assert res.exit_code == exit_code
+    lines = res.report.splitlines()
+    assert check in lines
+    assert lines[-1] == f"conclusion: {conclusion}"
 
 
 def test_field_obstruct_refutes_tau_outside_the_group():
@@ -235,6 +259,13 @@ def test_boundary_construct_rejected_tuple_saves_no_functional(tmp_path):
     assert "functional written to" not in res.report
 
 
+def test_boundary_construct_unwritable_functional_path_is_an_input_error(tmp_path):
+    res = run(["boundary", "construct", "--points", str(GOLDEN / "demo_points.txt"),
+               "--tuple", "1,1,1,1,4,4,4,4,-2", "--save-functional", str(tmp_path)])
+    assert res.exit_code == EXIT_INPUT
+    assert res.report.startswith("input error: ") and "Is a directory" in res.report
+
+
 def test_boundary_certify_rejects_interior(tmp_path):
     alpha = functional_from_tuple(demo_points(), demo_tuple())
     afile = tmp_path / "alpha.txt"
@@ -362,6 +393,50 @@ def test_gram_shrink_10x10_rational_boundary(tmp_path):
     assert res.exit_code == EXIT_OK
     assert "boundary parameter s* = 7/2" in res.report
     assert "rank drops 10 -> 9" in res.report
+
+
+# each literal is longer than a file name may be (255 bytes)
+LONG_QUADRATIC = "x1^2" + " + x1^2 - x1^2" * 30
+LONG_SEXTIC = (GOLDEN / "demo_sextic.txt").read_text().strip() + " + x1^6 - x1^6" * 30
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, line",
+    [
+        (["gram", "verify", f"--form={LONG_QUADRATIC}", "--squares=x1"], EXIT_OK, "valid Gram point"),
+        (["gram", "extract-q", f"--form={LONG_QUADRATIC}", "--basis=x1"], EXIT_OK, "f = (x1)^2"),
+        (["boundary", "certify", f"--form={LONG_SEXTIC}", "--functional", str(GOLDEN / "demo_functional.txt")],
+         EXIT_OK, "verdict: certified singleton"),
+        (["groups", "table", "--catalog", "degree4.cat" * 30], EXIT_INPUT,
+         f"input error: no catalog file or bundled catalog named {'degree4.cat' * 30!r}"),
+    ],
+    ids=["gram-verify", "gram-extract-q", "boundary-certify", "groups-table"],
+)
+def test_a_literal_longer_than_a_file_name_is_not_a_file(argv, exit_code, line):
+    res = run(argv)
+    assert res.exit_code == exit_code
+    assert line in res.report.splitlines()
+
+
+def _with_indented_comment(path: Path) -> str:
+    header, *rest = path.read_text().splitlines()
+    return "\n".join([header, "  # note", *rest])
+
+
+def test_boundary_certify_skips_an_indented_comment(tmp_path):
+    afile = tmp_path / "alpha.txt"
+    afile.write_text(_with_indented_comment(GOLDEN / "demo_functional.txt"))
+    res = run(["boundary", "certify", "--form", str(GOLDEN / "demo_sextic.txt"), "--functional", str(afile)])
+    assert res.exit_code == EXIT_OK
+    assert "verdict: certified singleton" in res.report.splitlines()
+
+
+def test_gram_shrink_skips_an_indented_comment(tmp_path):
+    g1 = tmp_path / "g1.txt"
+    g1.write_text(_with_indented_comment(GOLDEN / "shrink-rational-g1.txt"))
+    res = run(["gram", "shrink", "--g1", str(g1), "--g2", str(GOLDEN / "shrink-rational-g2.txt")])
+    assert res.exit_code == EXIT_OK
+    assert res.report.splitlines()[0] == "boundary parameter s* = 5/3"
 
 
 def test_gram_extract_q_form_of_another_degree_is_an_input_error():

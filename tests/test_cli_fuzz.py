@@ -5,6 +5,8 @@ grammar of good and bad pieces: rationals, polynomial terms in ``t`` and
 ``x1..x3``, permutation cycles, Gram and functional files, point and weight
 lists, and ``--linform`` lists.  Degrees stay at most 6 and variables at
 most ``x4``, so no example reaches a slow path; the deadline guards that.
+Literal ``--form``, ``--basis`` and ``--catalog`` values are also drawn
+longer than a file name may be (255 bytes).
 """
 
 import tempfile
@@ -62,6 +64,11 @@ X_POLYS = st.one_of(
 )
 X_LISTS = st.lists(X_POLYS, max_size=3).map(";".join)
 
+
+def _long(texts):
+    """``texts`` padded past 255 bytes with spaces, which the polynomial grammar ignores."""
+    return st.builds(lambda text, pad: text + " " * pad, texts, st.integers(256, 400))
+
 CYCLES = st.lists(
     st.one_of(
         st.lists(st.integers(-1, 7).map(str), max_size=4).map(lambda pts: "(" + " ".join(pts) + ")"),
@@ -110,6 +117,9 @@ WEIGHTS = st.one_of(
     st.lists(RATIONALS, max_size=10).map(",".join),
     st.lists(st.integers(1, 4), min_size=8, max_size=8).map(lambda ws: ",".join(map(str, ws + [-2]))),
 )
+SEXTIC_TEXTS = st.one_of(X_POLYS, st.just((GOLDEN / "demo_sextic.txt").read_text()))
+CATALOG_NAMES = st.builds(lambda name, k: name * k, st.sampled_from(["degree4.cat", "x", "4;a;(1 2 3 4)"]),
+                          st.integers(256, 300))
 CATALOGS = st.one_of(
     st.sampled_from(["", "x", "4;a;(1 2 3 4)\n6;b;(1 2 3 4 5 6)", "0;a;()", "4;a;", "4;x;(1 2"]),
     st.lists(st.builds(lambda d, g: f"{d};g;{g}", DEGREES, CYCLES), max_size=3).map("\n".join),
@@ -146,13 +156,15 @@ INVOCATIONS = st.one_of(
              _opt("--galois-gens", CYCLES)),
     _command(["groups", "classify"], _arg("--gens", CYCLES), _opt("--degree", DEGREES)),
     _command(["groups", "char-number"], _arg("--gens", CYCLES), _arg("--inv", CYCLES), _opt("--degree", DEGREES)),
-    _command(["groups", "table"], _file("--catalog", "groups.cat", CATALOGS)),
+    _command(["groups", "table"],
+             st.one_of(_file("--catalog", "groups.cat", CATALOGS), _arg("--catalog", CATALOG_NAMES))),
     _command(["boundary", "construct"], _file("--points", "points.txt", POINT_FILES), _arg("--tuple", WEIGHTS)),
     _command(["boundary", "certify"],
-             _file("--form", "form.txt", st.one_of(X_POLYS, st.just((GOLDEN / "demo_sextic.txt").read_text()))),
+             st.one_of(_file("--form", "form.txt", SEXTIC_TEXTS), _arg("--form", _long(SEXTIC_TEXTS))),
              _file("--functional", "alpha.txt", FUNCTIONAL_FILES), _opt_file("--witness", "witness.txt", GRAM_FILES)),
-    _command(["gram", "verify"], _arg("--form", X_POLYS), _arg("--squares", X_LISTS)),
-    _command(["gram", "extract-q"], _arg("--form", X_POLYS), _arg("--basis", X_LISTS)),
+    _command(["gram", "verify"], _arg("--form", st.one_of(X_POLYS, _long(X_POLYS))), _arg("--squares", X_LISTS)),
+    _command(["gram", "extract-q"], _arg("--form", st.one_of(X_POLYS, _long(X_POLYS))),
+             _arg("--basis", st.one_of(X_LISTS, _long(X_LISTS)))),
     _command(["gram", "shrink"], _file("--g1", "g1.txt", GRAM_FILES), _file("--g2", "g2.txt", GRAM_FILES)),
 )
 

@@ -75,7 +75,7 @@ CASES = {
         for kind in ("rational", "generic", "differ")
     },
     "groups-classify-d4": ["groups", "classify", "--gens", "(1 2 3 4),(1 3)"],
-    "groups-classify-s6": ["groups", "classify", "--gens", "(1 2 3 4 5 6),(1 2)", "--label", "S6"],
+    "groups-classify-s6": ["groups", "classify", "--gens", "(1 2 3 4 5 6),(1 2)"],
     "groups-char-number-d4": ["groups", "char-number", "--gens", "(1 2 3 4),(1 3)", "--inv", "(1 2)(3 4)"],
     "groups-char-number-s6": [
         "groups", "char-number", "--gens", "(1 2 3 4 5 6),(1 2)", "--inv", "(1 2)(3 4)(5 6)", "--degree", "6",

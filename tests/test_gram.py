@@ -29,7 +29,7 @@ from ratsos.gram import (
     span_basis,
 )
 from ratsos.linalg import PsdVerdict, SymMatrix, psd_check
-from ratsos.poly import Poly, monomials
+from ratsos.poly import Poly, monomials, sum_of_squares
 
 x1 = Poly.variable(1, 3)
 x2 = Poly.variable(2, 3)
@@ -115,19 +115,22 @@ def test_span_basis():
     assert span_basis(zero) == []
 
 
+def _face_dimension(squares):
+    return face_dimension(span_basis(gram_from_squares(SosRep(tuple(squares)))))
+
+
 def test_face_dimension_single_square():
-    dim, extreme = face_dimension(SosRep((two_var("x1^2 + x2^2"),)))
+    dim, extreme = _face_dimension((two_var("x1^2 + x2^2"),))
     assert dim == 0 and extreme
 
 
 def test_face_dimension_veronese_relation():
     # x1^2 * x2^2 = (x1 x2)^2 is the single relation among the 6 products
-    dim, extreme = face_dimension(SosRep((two_var("x1^2"), two_var("x1*x2"), two_var("x2^2"))))
+    dim, extreme = _face_dimension((two_var("x1^2"), two_var("x1*x2"), two_var("x2^2")))
     assert dim == 1 and not extreme
 
 
 def test_face_dimension_nine_point_triple_extreme():
-    rep = SosRep((P1, P2, P3))
     # independent float oracle for the rank of the 6 products
     basis = monomials(3, 6)
     prods = []
@@ -136,7 +139,7 @@ def test_face_dimension_nine_point_triple_extreme():
             prods.append(((P1, P2, P3)[i] * (P1, P2, P3)[j]).coeff_vector(basis))
     arr = np.array([[float(v) for v in row] for row in prods])
     assert np.linalg.matrix_rank(arr) == 6
-    dim, extreme = face_dimension(rep)
+    dim, extreme = _face_dimension((P1, P2, P3))
     assert dim == 0 and extreme
 
 
@@ -288,8 +291,7 @@ def test_mu_gram_roundtrip_random():
         deg = rng.randint(1, 3)
         squares = [_random_poly(rng, nvars, deg) for _ in range(rng.randint(1, 3))]
         squares = [p for p in squares if p] or [Poly.monomial((0,) * (nvars - 1) + (deg,))]
-        rep = SosRep(tuple(squares))
-        assert mu(gram_from_squares(rep)) == rep.polynomial()
+        assert mu(gram_from_squares(SosRep(tuple(squares)))) == sum_of_squares(squares)
 
 
 def _cayley_orthogonal(rng, n):
@@ -351,8 +353,7 @@ def test_face_dimension_iff_quadratic_independence_random():
                 squares.append(p)
         if not squares:
             continue
-        rep = SosRep(tuple(squares))
-        dim, extreme = face_dimension(rep)
+        dim, extreme = _face_dimension(squares)
         assert (dim == 0) == extreme
         assert dim >= 0
 

@@ -308,6 +308,23 @@ def test_obstruction_requires_galois_beyond_quartics():
         obstruction_check(U("t^6+t^3+3"))
 
 
+# one representative of each of the 11 conjugacy classes of subgroups of S4
+S4_SUBGROUP_CLASSES = ["()", "(1 2)", "(1 2)(3 4)", "(1 2 3)", "(1 2),(3 4)", "(1 2)(3 4),(1 3)(2 4)",
+                       "(1 2 3 4)", "(1 2 3),(1 2)", "(1 2 3 4),(1 3)", "(1 2 3),(2 3 4)", "(1 2 3 4),(1 2)"]
+
+
+def test_cycle_types_separate_the_subgroup_classes_of_s4():
+    rng = random.Random(5)
+    types = []
+    for gens in S4_SUBGROUP_CLASSES:
+        group = GroupDesc.from_text(gens, 4)
+        by = Perm(rng.sample(range(4), 4))
+        conjugate = GroupDesc(4, tuple(g.conjugate(by) for g in group.generators))
+        types.append(numfield._cycle_types(group))
+        assert numfield._cycle_types(conjugate) == types[-1]
+    assert len({tuple(t) for t in types}) == 11
+
+
 def test_obstruction_with_supplied_galois_sextic():
     # K = Q(zeta_7): Galois group C6 acting regularly; tau = inversion.
     m = U("t^6+t^5+t^4+t^3+t^2+t+1")

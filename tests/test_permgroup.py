@@ -25,8 +25,8 @@ from ratsos.permgroup import (
 )
 
 
-def G(text, degree=None, label=""):
-    return GroupDesc.from_text(text, degree, label)
+def G(text, degree=None):
+    return GroupDesc.from_text(text, degree)
 
 
 D4 = G("(1 2 3 4),(1 3)")

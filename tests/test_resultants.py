@@ -5,17 +5,14 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from hypothesis import assume, given, settings, strategies as st
+
 from ratsos import gram, resultants
 from ratsos.cli import _parse_gram_file
-from ratsos.errors import CheckFailed, DimensionMismatch, ZeroPolynomial
+from ratsos.errors import CheckFailed, DimensionMismatch, Reducible, ZeroPolynomial
+from ratsos.numfield import quartic_galois
 from ratsos.poly import Poly, UniPoly
-from ratsos.resultants import (
-    det_ring,
-    discriminant,
-    pencil_det,
-    resultant,
-    resultant_rational,
-)
+from ratsos.resultants import det_ring, pencil_det, resultant
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -108,18 +105,27 @@ def test_quartic_norm_vs_numeric_product():
         assert residual < mpmath.mpf(10) ** -20
 
 
-def test_resultant_rational_and_discriminant():
-    # disc(t^4 + t + 1) = 229; quadratic discriminant sanity on randoms.
-    assert discriminant(UniPoly.parse("t^4+t+1")) == 229
-    assert discriminant(UniPoly.parse("t^2+1")) == -4
-    rng = random.Random(43)
-    for _ in range(20):
-        p = Fraction(rng.randint(-6, 6))
-        q = Fraction(rng.randint(-6, 6))
-        m = UniPoly([q, p, Fraction(1)])
-        assert discriminant(m) == p * p - 4 * q
-    r = resultant_rational(UniPoly.parse("t^2-1"), UniPoly.parse("t-2"))
-    assert r == 3  # (2^2 - 1) with monic first argument
+def _sylvester_discriminant(m: UniPoly) -> Fraction:
+    # disc of a monic quartic = (-1)^(4*3/2) Res(m, m') = det of the 7x7 Sylvester matrix
+    a, b = list(reversed(m.coeffs)), list(reversed(m.derivative().coeffs))
+    rows = [[Fraction(0)] * i + a + [Fraction(0)] * (2 - i) for i in range(3)]
+    rows += [[Fraction(0)] * i + b + [Fraction(0)] * (3 - i) for i in range(4)]
+    return det_ring(rows, Fraction(0))
+
+
+RATIONAL_COEFFS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(RATIONAL_COEFFS, min_size=4, max_size=4))
+def test_quartic_discriminant_is_the_sylvester_determinant(coeffs):
+    # quartic_galois reads disc(m) off its resolvent cubic
+    m = UniPoly(coeffs + [Fraction(1)])
+    try:
+        qg = quartic_galois(m)
+    except Reducible:
+        assume(False)
+    assert qg.discriminant == _sylvester_discriminant(m)
 
 
 def _random_matrix(rng: random.Random, n: int) -> list[list[Fraction]]:

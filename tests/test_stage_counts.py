@@ -187,10 +187,9 @@ def _golden_shrink():
     "stage",
     [
         lambda: numfield.norm_form(UniPoly.parse("t^6+t+1")),
-        lambda: resultants.discriminant(UniPoly.parse("t^4+t+1")),
         _golden_shrink,
     ],
-    ids=["norm_form", "discriminant", "shrink_span"],
+    ids=["norm_form", "shrink_span"],
 )
 def test_determinants_come_from_the_elimination_kernel(monkeypatch, stage):
     dets = count_calls(monkeypatch, linalg, "det")
@@ -210,8 +209,10 @@ def test_resultants_has_no_elimination_loop_of_its_own():
         (["field", "obstruct", "--minpoly", "t^6+t^5+t^4+t^3+t^2+t+1", "--galois-gens", "(1 3 6 2 4 5)"],
          EXIT_INCONCLUSIVE),
         (["field", "obstruct", "--minpoly", "t^4+t+1", "--linform", "1;t;t^3"], EXIT_OK),
+        # a supplied quartic group is compared with the derived one, on the same roots
+        (["field", "obstruct", "--minpoly", "t^4+t+1", "--galois-gens", "(1 2 3 4),(1 2)"], EXIT_OK),
     ],
-    ids=["galois-gens", "linform"],
+    ids=["galois-gens", "linform", "quartic-galois-gens"],
 )
 def test_field_obstruct_isolates_the_roots_once(monkeypatch, argv, exit_code):
     isolations = count_calls(monkeypatch, numfield, "isolate_roots")
@@ -228,6 +229,16 @@ def test_refined_root_systems_reuse_the_sturm_chain(monkeypatch):
     assert refined.precision_bits == 4 * roots.precision_bits
     assert refined.chain == roots.chain
     assert len(chains) == 0
+
+
+def test_gram_verify_checks_and_reduces_the_gram_matrix_once(monkeypatch):
+    # the span basis is the PSD check and the one reduction; the face dimension reads it
+    psd = count_calls(monkeypatch, linalg, "psd_check")
+    reductions = count_calls(monkeypatch, linalg, "rref")
+    squares = "x1^3 - x1*x3^2; x2^3 - x2*x3^2; 3*x1^2*x3 + 3*x2^2*x3 - 4*x3^3"
+    form = (GOLDEN / "demo_sextic.txt").read_text()
+    assert run(["gram", "verify", "--form", form, "--squares", squares]).exit_code == EXIT_OK
+    assert (len(psd), len(reductions)) == (1, 1)
 
 
 def _shrink_argv(kind):
