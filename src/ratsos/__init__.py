@@ -73,8 +73,6 @@ from .permgroup import (
     classify_catalog,
     enumerate_group,
     fpf_involution_classes,
-    is_transitive,
-    is_two_transitive,
     load_bundled_catalog,
     orbit_closure,
     parse_catalog,

@@ -32,6 +32,9 @@ from .poly import Poly, data_lines, monomials, parse_rational, primitive_vector,
 
 CUBICS = monomials(3, 3)  # 10 monomials
 SEXTICS = monomials(3, 6)  # 28 monomials
+# each sextic monomial as a product of two cubic ones, by their indices in CUBICS
+_PRODUCTS = {tuple(map(sum, zip(a, b))): (j, k) for j, a in enumerate(CUBICS) for k, b in enumerate(CUBICS)}
+SEXTIC_FACTORS = tuple(_PRODUCTS[e] for e in SEXTICS)
 
 
 @dataclass(frozen=True)
@@ -105,12 +108,14 @@ def demo_kernel_cubics() -> tuple[Poly, Poly, Poly]:
     return p1, p2, p3
 
 
+def _cubic_values(p: Sequence[Fraction]) -> list[Fraction]:
+    """Every cubic monomial evaluated at one point, in the order of CUBICS."""
+    return [p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2] for e in CUBICS]
+
+
 def evaluation_matrix(cfg: NinePointConfig) -> list[list[Fraction]]:
     """9 x 10 matrix of all cubic monomials evaluated at the points."""
-    rows = []
-    for p in cfg.points:
-        rows.append([p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2] for e in CUBICS])
-    return rows
+    return [_cubic_values(p) for p in cfg.points]
 
 
 def cb_relation(cfg: NinePointConfig) -> list[Fraction]:
@@ -206,12 +211,12 @@ def functional_from_points(
     ws = [Fraction(w) for w in weights]
     if len(pts) != len(ws):
         raise ValueError("points/weights length mismatch")
-    coeffs = []
-    for e in SEXTICS:
-        total = Fraction(0)
-        for p, w in zip(pts, ws):
-            total += w * p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2]
-        coeffs.append(total)
+    coeffs = [Fraction(0)] * len(SEXTICS)
+    for p, w in zip(pts, ws):
+        v = _cubic_values(p)
+        wv = [w * x for x in v]
+        for i, (j, k) in enumerate(SEXTIC_FACTORS):
+            coeffs[i] += wv[j] * v[k]
     return LinearFunctional(tuple(coeffs))
 
 

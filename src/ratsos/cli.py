@@ -84,12 +84,11 @@ def _read_poly_file(source: str, nvars: int | None = None) -> Poly:
 
 def _parse_gram_file(text: str) -> gr.GramPoint:
     lines = [line for _, line in data_lines(text)]
-    if not lines or not lines[0].startswith("gram"):
-        raise RatsosError("gram file must start with 'gram n=<vars> d=<half-degree>'")
-    header = dict(part.split("=") for part in lines[0].split()[1:])
-    if not {"n", "d"} <= header.keys():
-        raise RatsosError("gram file must start with 'gram n=<vars> d=<half-degree>'")
-    nvars, d = int(header["n"]), int(header["d"])
+    try:
+        header = dict(part.split("=") for part in lines[0].split()[1:]) if lines[0].startswith("gram") else {}
+        nvars, d = int(header["n"]), int(header["d"])
+    except (IndexError, KeyError, ValueError):
+        raise RatsosError("gram file must start with 'gram n=<vars> d=<half-degree>'") from None
     rows = [[parse_rational(v) for v in ln.split()] for ln in lines[1:]]
     return gr.GramPoint(nvars, d, SymMatrix.from_rows(rows))
 

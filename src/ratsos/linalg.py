@@ -194,10 +194,6 @@ class SymMatrix:
     def from_rows(cls, rows: Sequence[Sequence]) -> "SymMatrix":
         return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "SymMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def size(self) -> int:
         return len(self.rows)

@@ -31,7 +31,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .intervals import Box, Interval, det3_box, eval_unipoly_box
-from .permgroup import GroupDesc, Perm, char_number
+from .permgroup import GroupDesc, Perm, StabChain, char_number
 from .poly import Poly, UniPoly
 from .resultants import pencil_det
 from .sturm import count_real_roots, rational_roots, sturm_chain
@@ -564,10 +564,10 @@ def obstruction_check(
             checks.append(CheckRecord("irreducible", "fail", str(exc)))
             return bail()
         checks.append(CheckRecord("irreducible", "pass", "quartic screens"))
-        rs, proven = qg.roots, Conclusion.NOT_Q_SOS
+        rs, proven, stab = qg.roots, Conclusion.NOT_Q_SOS, qg.group.chain()
         if group is not None:
             # the multisets of cycle types separate the conjugacy classes of subgroups of S4
-            conjugate = _cycle_types(group) == _cycle_types(qg.group)
+            conjugate = _cycle_types(group.chain()) == _cycle_types(stab)
             gens = ",".join(str(g) for g in group.generators)
             detail = f"supplied {gens} is {'' if conjugate else 'not '}conjugate to the derived {qg.group.label}"
             checks.append(CheckRecord("supplied group", "pass" if conjugate else "fail", detail))
@@ -577,7 +577,7 @@ def obstruction_check(
     elif group is None:
         raise GaloisDataMissing("degree > 4 requires explicit Galois data")
     else:
-        rs, proven = isolate_roots(m, chain=chain), Conclusion.CONDITIONAL_NOT_Q_SOS
+        rs, proven, stab = isolate_roots(m, chain=chain), Conclusion.CONDITIONAL_NOT_Q_SOS, group.chain()
     tau = rs.pairing
 
     if not tau.is_involution() or not tau.is_fixed_point_free():
@@ -585,7 +585,6 @@ def obstruction_check(
         return bail(tau=str(tau), group_label=group.label)
     checks.append(CheckRecord("tau fpf involution", "pass", str(tau)))
 
-    stab = group.chain()
     order = stab.order
     if tau.images not in stab:
         checks.append(CheckRecord("tau in group", "fail", "tau not in the generated group"))
@@ -607,5 +606,5 @@ def obstruction_check(
     return bail(conclusion, c=c, general_position_verdict=gp, **known)
 
 
-def _cycle_types(group: GroupDesc) -> list[tuple[int, ...]]:
-    return sorted(Perm(e).cycle_type() for e in group.chain().elements())
+def _cycle_types(chain: StabChain) -> list[tuple[int, ...]]:
+    return sorted(Perm(e).cycle_type() for e in chain.elements())

@@ -55,7 +55,9 @@ def invert(a: tuple[int, ...]) -> tuple[int, ...]:
 class Perm:
     """Permutation of {1..n}, stored as a 0-indexed image tuple.
 
-    Composition is right-to-left: ``(p * q)(x) = p(q(x))``.
+    It parses, validates and prints generators and representatives; the
+    group algorithms compose image tuples with :func:`compose` and
+    :func:`invert`.
     """
 
     __slots__ = ("images",)
@@ -68,13 +70,6 @@ class Perm:
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
-
-    @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
-        """Wrap an image tuple known to be a permutation, without the check."""
-        p = object.__new__(cls)
-        _set_images(p, images)
-        return p
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
@@ -132,20 +127,6 @@ class Perm:
     def degree(self) -> int:
         return len(self.images)
 
-    def __mul__(self, other: "Perm") -> "Perm":
-        if not isinstance(other, Perm):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise ValueError("degrees differ")
-        return Perm._trusted(compose(self.images, other.images))
-
-    def inverse(self) -> "Perm":
-        return Perm._trusted(invert(self.images))
-
-    def conjugate(self, by: "Perm") -> "Perm":
-        """by * self * by^-1."""
-        return by * self * by.inverse()
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
@@ -181,9 +162,6 @@ class Perm:
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
 
-    def __lt__(self, other: "Perm"):
-        return self.images < other.images
-
     def __hash__(self):
         return hash(self.images)
 
@@ -195,9 +173,6 @@ class Perm:
 
     def __repr__(self):
         return f"Perm({str(self)!r})"
-
-
-_set_images = Perm.images.__set__  # the slot's own setter, past the immutability guard
 
 
 @dataclass(frozen=True)
@@ -261,14 +236,6 @@ def parse_generators(text: str, degree: int | None = None) -> tuple[Perm, ...]:
 # -- orbit machinery ---------------------------------------------------------
 
 
-def act_point(g: Perm, x: int) -> int:
-    return g.images[x]
-
-
-def act_ordered_pair(g: Perm, pair: tuple[int, int]) -> tuple[int, int]:
-    return (g.images[pair[0]], g.images[pair[1]])
-
-
 def act_unordered_pair(g: Perm, pair: tuple[int, int]) -> tuple[int, int]:
     a, b = g.images[pair[0]], g.images[pair[1]]
     return (a, b) if a <= b else (b, a)
@@ -299,19 +266,6 @@ def orbit_closure(gens: Sequence[Perm], seeds: Iterable, action: Callable) -> li
                 seen.append(nxt)
                 queue.append(nxt)
     return seen
-
-
-def is_transitive(group: GroupDesc) -> bool:
-    return len(orbit_closure(group.generators, [0], act_point)) == group.degree
-
-
-def is_two_transitive(group: GroupDesc) -> bool:
-    """True iff the ordered-pair orbit of (1, 2) has size n(n-1)."""
-    n = group.degree
-    if n < 2:
-        raise ValueError("2-transitivity needs degree >= 2")
-    orbit = orbit_closure(group.generators, [(0, 1)], act_ordered_pair)
-    return len(orbit) == n * (n - 1)
 
 
 # -- stabilizer chain --------------------------------------------------------
@@ -440,37 +394,39 @@ def schreier_sims(gens: Sequence[tuple[int, ...]], degree: int) -> StabChain:
     return StabChain(degree, tuple(base), tuple(transversals), tuple(inverses))
 
 
-def enumerate_group(group: GroupDesc) -> list[Perm]:
-    """All group elements (sorted) when the order is within ``ENUM_BOUND``.
+def enumerate_group(chain: StabChain) -> list[tuple[int, ...]]:
+    """Every element's image tuple (unsorted) when the order is within
+    ``ENUM_BOUND``.
 
     The order is read off the stabilizer chain before any element is
     built; past the bound :class:`OrderExceeded` reports ``ENUM_BOUND + 1``
     elements found.
     """
-    chain = group.chain()
     if chain.order > ENUM_BOUND:
         raise OrderExceeded(ENUM_BOUND + 1, ENUM_BOUND)
-    return list(map(Perm._trusted, sorted(chain.elements())))
+    return chain.elements()
 
 
-def fpf_involution_classes(group: GroupDesc, elements: Sequence[Perm]) -> list[Perm]:
+def fpf_involution_classes(group: GroupDesc, elements: Iterable[tuple[int, ...]]) -> list[Perm]:
     """One representative per conjugacy class of fixed-point-free involutions.
 
-    ``elements`` is the sorted element list from :func:`enumerate_group`;
-    classes are closed under conjugation by the generators, and each is
-    represented by its minimum.  Odd degree yields the empty list.
+    ``elements`` are the image tuples from :func:`enumerate_group`; the
+    fixed-point-free involutions among them are sorted, classes are closed
+    under conjugation by the generators, and each is represented by its
+    minimum.  Odd degree yields the empty list.
     """
     n = group.degree
+    fpf = sorted(
+        t for t in elements
+        if t[0] != 0 and t[t[0]] == 0 and all(t[x] != x and t[t[x]] == x for x in range(1, n))
+    )
     conjugators = [(g.images, invert(g.images)) for g in group.generators]
     reps: list[Perm] = []
     assigned: set[tuple[int, ...]] = set()
-    for p in elements:
-        t = p.images
-        if t[0] == 0 or t[t[0]] != 0 or t in assigned:
+    for t in fpf:
+        if t in assigned:
             continue
-        if any(t[x] == x or t[t[x]] != x for x in range(1, n)):
-            continue
-        reps.append(p)
+        reps.append(Perm(t))
         assigned.add(t)
         cls = [t]
         for c in cls:
@@ -483,9 +439,8 @@ def fpf_involution_classes(group: GroupDesc, elements: Sequence[Perm]) -> list[P
 
 
 def _pair_closure(group: GroupDesc, t: Perm) -> list[tuple[int, int]]:
-    n = group.degree
-    seeds = sorted(act_unordered_pair(Perm.identity(n), (z, t.images[z])) for z in range(n))
     # each seed {z, tz} is a genuine pair because t is fixed-point-free
+    seeds = [(z, tz) for z, tz in enumerate(t.images) if z < tz]
     return orbit_closure(group.generators, seeds, act_unordered_pair)
 
 
@@ -540,7 +495,7 @@ class GroupAnalysis:
     is_two_transitive: bool
     has_fpf_involution: bool
     fpf_classes: tuple[FpfClassInfo, ...]
-    order: int | None = None
+    order: int
 
     @property
     def has_star(self) -> bool:
@@ -553,12 +508,19 @@ class GroupAnalysis:
 
 def classify(group: GroupDesc) -> GroupAnalysis:
     """Full analysis: transitivity, 2-transitivity, fpf classes with their
-    characteristic numbers and the (*) / (**) verdicts.  The group is
-    enumerated once; the fpf classes are read off that element list."""
+    characteristic numbers and the (*) / (**) verdicts.
+
+    One stabilizer chain gives the order and the orbit lengths: the group
+    is transitive iff the orbit of the first base point is all of X, and
+    2-transitive iff moreover its stabilizer's orbit is X minus that point.
+    The group is enumerated once; the fpf classes are read off that list.
+    """
     n = group.degree
-    transitive = is_transitive(group)
-    two_trans = is_two_transitive(group) if n >= 2 else False
-    elements = enumerate_group(group)
+    chain = group.chain()
+    orbits = [len(t) for t in chain.transversals] + [1, 1]  # levels past the base are trivial
+    transitive = orbits[0] == n
+    two_trans = n >= 2 and transitive and orbits[1] == n - 1
+    elements = enumerate_group(chain)
     infos = []
     for t in fpf_involution_classes(group, elements):
         # 2-transitive actions reach every pair, so c = n - 1 without closure
@@ -578,7 +540,7 @@ def classify(group: GroupDesc) -> GroupAnalysis:
         is_two_transitive=two_trans,
         has_fpf_involution=bool(infos),
         fpf_classes=tuple(infos),
-        order=len(elements),
+        order=chain.order,
     )
 
 
@@ -623,8 +585,9 @@ def classify_catalog(catalog: Sequence[GroupDesc]) -> CatalogTable:
     Column semantics: (1) has an fpf involution; (2) additionally
     2-transitive; (3) satisfies (*) for some fpf involution but is not
     2-transitive; (4) satisfies (**) for some fpf involution but (*) for
-    none.  A toolkit error for one entry (a group past the enumeration
-    bound) is reported as a failed row; any other exception propagates.
+    none.  An intransitive entry, or a toolkit error for one entry (a group
+    past the enumeration bound), is reported as a failed row; any other
+    exception propagates.
     """
     entries = list(catalog)
     if not entries:
@@ -640,6 +603,9 @@ def classify_catalog(catalog: Sequence[GroupDesc]) -> CatalogTable:
             a = classify(g)
         except RatsosError as exc:  # aggregate, don't abort the table
             failures.append((g.label, str(exc)))
+            continue
+        if not a.is_transitive:
+            failures.append((g.label, "not transitive"))
             continue
         if a.has_fpf_involution:
             cols["fpf"].append(g.label)

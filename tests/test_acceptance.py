@@ -37,8 +37,10 @@ from ratsos.permgroup import (
     GroupDesc,
     Perm,
     char_number,
+    compose,
     enumerate_group,
     fpf_involution_classes,
+    invert,
     load_bundled_catalog,
 )
 from ratsos.poly import Poly, UniPoly, monomials
@@ -147,7 +149,7 @@ def test_criterion_4_boundary_demo_chain():
         assert bc.certified and bc.psd_rank == 7 and bc.kernel_dim == 3 and bc.alpha_f == 0
         uc = uniqueness_cert(bc)
         assert uc.certified
-        assert uc.restricted_gram == SymMatrix.identity(3)
+        assert uc.restricted_gram == SymMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_criterion_5_interior_witness():
@@ -204,10 +206,10 @@ def test_criterion_6_property_suites():
         # definition on every enumerable catalog group
         for degree in (4, 6, 8):
             for group in load_bundled_catalog(degree):
-                elements = enumerate_group(group)
+                elements = enumerate_group(group.chain())
                 for t in fpf_involution_classes(group, elements):
                     c = char_number(group, t, check_membership=False)
-                    brute = {(g * t * g.inverse()).images[0] for g in elements}
+                    brute = {compose(g, compose(t.images, invert(g)))[0] for g in elements}
                     assert len(brute) == c, f"{group.label}: {len(brute)} != {c}"
 
         # (c) resultant norm form vs numeric conjugate product, 50 fields

@@ -348,7 +348,7 @@ def test_uniqueness_cert_demo():
     cert = uniqueness_cert(boundary_cert(PAPER_SEXTIC, alpha))
     assert cert.certified
     assert cert.quadratically_independent
-    assert cert.restricted_gram == SymMatrix.identity(3)
+    assert cert.restricted_gram == SymMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert set(cert.kernel_basis) == {P1, P2, P3}
     assert set(cert.sos_polys) == {P1, P2, P3}
     assert cert.sos_weights == (1, 1, 1)
@@ -358,7 +358,7 @@ def test_uniqueness_cert_scaling_invariance():
     alpha = functional_from_tuple(demo_points(), demo_tuple())
     cert5 = uniqueness_cert(boundary_cert(PAPER_SEXTIC, _scaled(alpha, 5)))
     assert cert5.certified
-    assert cert5.restricted_gram == SymMatrix.identity(3)
+    assert cert5.restricted_gram == SymMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert set(cert5.kernel_basis) == {P1, P2, P3}
 
 
@@ -427,7 +427,7 @@ def test_uniqueness_cert_extracts_after_a_supplied_witness(monkeypatch):
     bc = boundary_cert(PAPER_SEXTIC, alpha, witness=gram_from_squares(SosRep((P1, P2, P3))))
     assert bc.certified and bc.extraction is None
     uc = uniqueness_cert(bc)
-    assert uc.certified and uc.restricted_gram == SymMatrix.identity(3)
+    assert uc.certified and uc.restricted_gram == SymMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     monkeypatch.setattr(boundary, "extract_qsos", _raising(NotQuadraticallyIndependent("dependent")))
     uc = uniqueness_cert(bc)
     assert not uc.certified and uc.quadratically_independent is False

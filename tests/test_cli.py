@@ -39,6 +39,16 @@ def test_groups_table_reports_groups_past_the_enumeration_bound(monkeypatch):
     assert "  FAILED 8G35: group order exceeds bound 100 (found 101 elements)" in res.report.splitlines()
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_groups_table_reports_an_intransitive_entry_as_failed(tmp_path, json_flag):
+    catalog = tmp_path / "groups.cat"
+    catalog.write_text("4;X;(1 2)(3 4)\n4;C4;(1 2 3 4)\n")
+    res = run(["groups", "table", "--catalog", str(catalog), *json_flag])
+    assert res.exit_code == EXIT_INCONCLUSIVE
+    assert res.report.splitlines()[2] == "  4      1          0            0                0"  # C4 only
+    assert res.report.splitlines()[-1] == "  FAILED X: not transitive"
+
+
 def test_groups_char_number():
     res = run(["groups", "char-number", "--gens", "(1 2 3 4),(1 3)", "--inv", "(1 2)(3 4)"])
     assert res.exit_code == EXIT_OK

@@ -187,31 +187,38 @@ def test_malformed_arguments_exit_with_a_documented_code(invocation):
 # -- tracebacks found by the fuzz test, each kept as a regression case ------
 
 
+GRAM_HEADER = "input error: gram file must start with 'gram n=<vars> d=<half-degree>'"
+
+
 @pytest.mark.parametrize(
-    "argv, files",
+    "argv, files, report",
     [
-        (["gram", "shrink", "--g1", "g1.txt", "--g2", "g1.txt"], {"g1.txt": "gram d=1\n1 0\n0 1"}),
+        (["gram", "shrink", "--g1", "g1.txt", "--g2", "g1.txt"], {"g1.txt": "gram d=1\n1 0\n0 1"}, GRAM_HEADER),
+        (["gram", "shrink", "--g1", "g1.txt", "--g2", "g1.txt"], {"g1.txt": "gram n=2 d=1 d\n1 0\n0 1"}, GRAM_HEADER),
+        (["gram", "shrink", "--g1", "g1.txt", "--g2", "g1.txt"], {"g1.txt": "gram n=x d=1\n1 0\n0 1"}, GRAM_HEADER),
         (["gram", "shrink", "--g1", "g1.txt", "--g2", "g2.txt"],
-         {"g1.txt": "gram n=2 d=1\n0 0\n0 0", "g2.txt": "gram n=2 d=2\n0 0 0\n0 0 0\n0 0 1"}),
-        (["groups", "table", "--catalog", "groups.cat"], {"groups.cat": "# no groups\n"}),
-        (["groups", "table", "--catalog", "groups.cat"], {"groups.cat": "4;a;(1 2 3 4)\n6;b;(1 2 3 4 5 6)"}),
-        (["groups", "classify", "--gens", "()", "--degree", "-1"], {}),
-        (["field", "obstruct", "--minpoly", "0*t", "--galois-gens", "()"], {}),
+         {"g1.txt": "gram n=2 d=1\n0 0\n0 0", "g2.txt": "gram n=2 d=2\n0 0 0\n0 0 0\n0 0 1"}, "DifferentForms: "),
+        (["groups", "table", "--catalog", "groups.cat"], {"groups.cat": "# no groups\n"}, "ParseError: "),
+        (["groups", "table", "--catalog", "groups.cat"], {"groups.cat": "4;a;(1 2 3 4)\n6;b;(1 2 3 4 5 6)"},
+         "DimensionMismatch: "),
+        (["groups", "classify", "--gens", "()", "--degree", "-1"], {}, "ParseError: "),
+        (["field", "obstruct", "--minpoly", "0*t", "--galois-gens", "()"], {}, "ParseError: "),
         (["boundary", "certify", "--form", "form.txt", "--functional", str(GOLDEN / "demo_functional.txt")],
-         {"form.txt": "x1^2"}),
+         {"form.txt": "x1^2"}, "HeterogeneousDegrees: "),
         (["boundary", "certify", "--form", "form.txt", "--functional", str(GOLDEN / "demo_functional.txt")],
-         {"form.txt": "x1^6-x1^6"}),
-        (["gram", "extract-q", "--form", "x1*x2-x2*x1", "--basis", "x1;x2"], {}),
+         {"form.txt": "x1^6-x1^6"}, "ZeroPolynomial: "),
+        (["gram", "extract-q", "--form", "x1*x2-x2*x1", "--basis", "x1;x2"], {}, "ZeroPolynomial: "),
     ],
-    ids=["gram-header-without-n", "shrink-different-forms", "empty-catalog", "mixed-catalog",
-         "nonpositive-degree", "zero-minpoly-with-generators", "certify-non-sextic", "certify-zero-form",
-         "extract-zero-form"],
+    ids=["gram-header-without-n", "gram-header-word-without-value", "gram-header-non-integer",
+         "shrink-different-forms", "empty-catalog", "mixed-catalog", "nonpositive-degree",
+         "zero-minpoly-with-generators", "certify-non-sextic", "certify-zero-form", "extract-zero-form"],
 )
-def test_input_errors_exit_3(tmp_path, argv, files):
+def test_input_errors_exit_3(tmp_path, argv, files, report):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     res = run([str(tmp_path / w) if w in files else w for w in argv])
     assert res.exit_code == EXIT_INPUT
+    assert res.report.startswith(report)
 
 
 def test_option_value_double_dash_is_a_usage_error():

@@ -80,7 +80,7 @@ def test_sosrep_validation():
 
 
 def test_mu_identity():
-    g = GramPoint(2, 1, SymMatrix.identity(2))
+    g = GramPoint(2, 1, SymMatrix.from_rows([[1, 0], [0, 1]]))
     assert mu(g) == two_var("x1^2 + x2^2")
     assert is_gram_point(g, two_var("x1^2 + x2^2"))
     assert not is_gram_point(g, two_var("x1^2"))
@@ -146,14 +146,14 @@ def test_face_dimension_nine_point_triple_extreme():
 def test_extract_qsos_diagonal():
     f = two_var("x1^4 + x2^4")
     w = extract_qsos(f, [two_var("x1^2"), two_var("x2^2")])
-    assert w.gram == SymMatrix.identity(2)
+    assert w.gram == SymMatrix.from_rows([[1, 0], [0, 1]])
     assert w.reconstruct_squares() == f
     assert [str(p) for p in w.polys] == ["x1^2", "x2^2"]
 
 
 def test_extract_qsos_nine_point_triple():
     w = extract_qsos(PAPER_SEXTIC, [P1, P2, P3])
-    assert w.gram == SymMatrix.identity(3)
+    assert w.gram == SymMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert w.weights == (1, 1, 1)
     assert set(w.polys) == {P1, P2, P3}
     assert w.reconstruct_squares() == PAPER_SEXTIC

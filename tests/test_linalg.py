@@ -243,7 +243,7 @@ def test_sym_matrix_validation():
 
 
 def test_psd_identity():
-    v = psd_check(SymMatrix.identity(2))
+    v = psd_check(SymMatrix.from_rows([[1, 0], [0, 1]]))
     assert v.is_psd and v.rank == 2 and v.pivots == (1, 1)
 
 
@@ -265,7 +265,7 @@ def test_psd_zero_pivot_cases():
 
 
 def test_ldl_examples():
-    terms = ldl_sos(SymMatrix.identity(2))
+    terms = ldl_sos(SymMatrix.from_rows([[1, 0], [0, 1]]))
     assert terms == [(1, (1, 0)), (1, (0, 1))]
     terms = ldl_sos(SymMatrix.from_rows([[1, 1], [1, 1]]))
     assert terms == [(1, (1, 1))]

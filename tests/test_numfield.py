@@ -26,7 +26,7 @@ from ratsos.numfield import (
     obstruction_check,
     quartic_galois,
 )
-from ratsos.permgroup import GroupDesc, Perm, enumerate_group
+from ratsos.permgroup import GroupDesc, Perm, compose, invert
 from ratsos.poly import Poly, UniPoly
 from ratsos.resultants import resultant
 
@@ -228,7 +228,7 @@ def test_quartic_galois_s4():
     assert qg.group.label == "S4"
     assert qg.resolvent == U("t^3 - 4*t - 1")
     assert qg.discriminant == 229
-    assert len(enumerate_group(qg.group)) == 24
+    assert qg.group.chain().order == 24
 
 
 def test_quartic_galois_resolvent_with_two_rational_roots_raises(monkeypatch):
@@ -247,29 +247,29 @@ def test_quartic_galois_d4():
     qg = quartic_galois(U("t^4+2"))
     assert qg.group.label == "D4"
     assert qg.resolvent == U("t^3 - 8*t")
-    assert len(enumerate_group(qg.group)) == 8
+    assert qg.group.chain().order == 8
     # tau must lie in the emitted group
-    assert qg.roots.pairing in set(enumerate_group(qg.group))
+    assert qg.roots.pairing.images in qg.group.chain().elements()
 
 
 def test_quartic_galois_v4():
     qg = quartic_galois(U("t^4+1"))
     assert qg.group.label == "V4"
-    assert len(enumerate_group(qg.group)) == 4
+    assert qg.group.chain().order == 4
 
 
 def test_quartic_galois_c4():
     # t^4 + t^3 + t^2 + t + 1 (5th cyclotomic) has Galois group C4
     qg = quartic_galois(U("t^4+t^3+t^2+t+1"))
     assert qg.group.label == "C4"
-    assert len(enumerate_group(qg.group)) == 4
+    assert qg.group.chain().order == 4
 
 
 def test_quartic_galois_a4():
     # x^4 + 8x + 12 is the standard A4 quartic (disc 331776 = 576^2)
     qg = quartic_galois(U("t^4+8*t+12"))
     assert qg.group.label == "A4"
-    assert len(enumerate_group(qg.group)) == 12
+    assert qg.group.chain().order == 12
 
 
 def test_quartic_galois_rejects_reducible():
@@ -318,10 +318,10 @@ def test_cycle_types_separate_the_subgroup_classes_of_s4():
     types = []
     for gens in S4_SUBGROUP_CLASSES:
         group = GroupDesc.from_text(gens, 4)
-        by = Perm(rng.sample(range(4), 4))
-        conjugate = GroupDesc(4, tuple(g.conjugate(by) for g in group.generators))
-        types.append(numfield._cycle_types(group))
-        assert numfield._cycle_types(conjugate) == types[-1]
+        by = tuple(rng.sample(range(4), 4))
+        conjugate = GroupDesc(4, tuple(Perm(compose(by, compose(g.images, invert(by)))) for g in group.generators))
+        types.append(numfield._cycle_types(group.chain()))
+        assert numfield._cycle_types(conjugate.chain()) == types[-1]
     assert len({tuple(t) for t in types}) == 11
 
 

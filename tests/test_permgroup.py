@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ratsos import permgroup
 from ratsos.errors import CheckFailed, HasFixedPoint, NotInGroup, NotInvolution, OrderExceeded, ParseError
@@ -9,15 +9,14 @@ from ratsos.permgroup import (
     GroupDesc,
     Perm,
     StabChain,
-    act_ordered_pair,
-    act_point,
     act_unordered_pair,
     char_number,
     classify,
     classify_catalog,
+    compose,
     enumerate_group,
     fpf_involution_classes,
-    is_two_transitive,
+    invert,
     load_bundled_catalog,
     orbit_closure,
     parse_catalog,
@@ -36,6 +35,34 @@ C2xC2 = G("(1 2)(3 4),(1 3)(2 4)")
 C6 = G("(1 2 3 4 5 6)")
 
 
+def elements_of(group):
+    return enumerate_group(group.chain())
+
+
+def conjugate(t, g):
+    """g t g^-1 on image tuples."""
+    return compose(g, compose(t, invert(g)))
+
+
+def act_point(g, x):
+    return g.images[x]
+
+
+def act_ordered_pair(g, pair):
+    return (g.images[pair[0]], g.images[pair[1]])
+
+
+def transitive_by_closure(group):
+    """Reference definition: the orbit of point 1 is all of X."""
+    return len(orbit_closure(group.generators, [0], act_point)) == group.degree
+
+
+def two_transitive_by_closure(group):
+    """Reference definition: the ordered-pair orbit of (1, 2) has size n(n-1)."""
+    n = group.degree
+    return n >= 2 and len(orbit_closure(group.generators, [(0, 1)], act_ordered_pair)) == n * (n - 1)
+
+
 def test_perm_parse_and_format():
     p = Perm.parse("(1 2 3 4)")
     assert p.images == (1, 2, 3, 0)
@@ -52,13 +79,12 @@ def test_perm_parse_and_format():
 
 
 def test_perm_algebra():
-    a = Perm.parse("(1 2 3)", 3)
-    b = Perm.parse("(1 2)", 3)
-    assert (a * b).images == (a * b).images
-    # (a*b)(x) = a(b(x)): b sends 1->2, a sends 2->3
-    assert (a * b).images[0] == 2
-    assert a * a.inverse() == Perm.identity(3)
-    assert a.conjugate(b) == b * a * b.inverse()
+    a = Perm.parse("(1 2 3)", 3).images
+    b = Perm.parse("(1 2)", 3).images
+    # compose(a, b)(x) = a(b(x)): b sends 1->2, a sends 2->3
+    assert compose(a, b)[0] == 2
+    assert compose(a, invert(a)) == Perm.identity(3).images
+    assert Perm(conjugate(a, b)) == Perm.parse("(1 3 2)", 3)
     t = Perm.parse("(1 2)(3 4)")
     assert t.is_involution() and t.is_fixed_point_free()
     assert Perm.parse("(1 2)", 3).fixed_points() == [2]
@@ -77,31 +103,31 @@ def test_orbit_closure_examples():
 
 
 def test_two_transitivity():
-    assert is_two_transitive(S4)
-    assert not is_two_transitive(D4)
-    assert is_two_transitive(A4)
+    assert classify(S4).is_two_transitive and two_transitive_by_closure(S4)
+    assert not classify(D4).is_two_transitive and not two_transitive_by_closure(D4)
+    assert classify(A4).is_two_transitive and two_transitive_by_closure(A4)
 
 
 def test_enumerate(monkeypatch):
-    assert len(enumerate_group(G("(1 2)"))) == 2
-    assert len(enumerate_group(D4)) == 8
+    assert len(elements_of(G("(1 2)"))) == 2
+    assert len(elements_of(D4)) == 8
     monkeypatch.setattr(permgroup, "ENUM_BOUND", 10)
     with pytest.raises(OrderExceeded) as exc:
-        enumerate_group(S4)
+        elements_of(S4)
     assert exc.value.partial_count == 11
     monkeypatch.setattr(permgroup, "ENUM_BOUND", 24)
-    assert len(enumerate_group(S4)) == 24
+    assert len(elements_of(S4)) == 24
 
 
 def test_fpf_involution_classes():
-    reps = fpf_involution_classes(C2xC2, enumerate_group(C2xC2))
+    reps = fpf_involution_classes(C2xC2, elements_of(C2xC2))
     assert len(reps) == 3  # abelian: each nonidentity element its own class
-    reps = fpf_involution_classes(D4, enumerate_group(D4))
+    reps = fpf_involution_classes(D4, elements_of(D4))
     assert len(reps) == 2
     types = sorted(str(t) for t in reps)
     assert "(1 3)(2 4)" in types  # the rotation class
     C3 = G("(1 2 3)")
-    assert len(fpf_involution_classes(C3, enumerate_group(C3))) == 0  # odd degree
+    assert len(fpf_involution_classes(C3, elements_of(C3))) == 0  # odd degree
 
 
 def test_char_number_examples():
@@ -111,7 +137,7 @@ def test_char_number_examples():
     # S4 with any fpf involution: 2-transitive forces c = 3 = |X| - 1
     assert char_number(S4, Perm.parse("(1 2)(3 4)")) == 3
     # abelian regular: M_t(x) = {tx}
-    for t in fpf_involution_classes(C2xC2, enumerate_group(C2xC2)):
+    for t in fpf_involution_classes(C2xC2, elements_of(C2xC2)):
         assert char_number(C2xC2, t) == 1
     assert char_number(C6, Perm.parse("(1 4)(2 5)(3 6)")) == 1
 
@@ -136,15 +162,15 @@ def test_char_number_invariants():
     # c is a class function and x is never in M_t(x); brute-force cross-check
     rng = random.Random(5)
     for group in (D4, S4, A4, C2xC2, C6):
-        elements = enumerate_group(group)
+        elements = elements_of(group)
         for t in fpf_involution_classes(group, elements):
             c = char_number(group, t)
             assert 1 <= c <= group.degree - 1
             g = elements[rng.randrange(len(elements))]
-            assert char_number(group, t.conjugate(g)) == c
+            assert char_number(group, Perm(conjugate(t.images, g))) == c
             # brute force M_t(x) over the enumerated group
             for x in range(group.degree):
-                m = {(g * t * g.inverse()).images[x] for g in elements}
+                m = {conjugate(t.images, g)[x] for g in elements}
                 assert len(m) == c
                 assert x not in m
 
@@ -204,10 +230,10 @@ def test_pair_closure_equals_bruteforce_on_catalogs():
     # spot-check here (degree 4 and 6); the acceptance suite covers degree 8 too
     for degree in (4, 6):
         for group in load_bundled_catalog(degree):
-            elements = enumerate_group(group)
+            elements = elements_of(group)
             for t in fpf_involution_classes(group, elements):
                 c = char_number(group, t)
-                brute = {(g * t * g.inverse()).images[0] for g in elements}
+                brute = {conjugate(t.images, g)[0] for g in elements}
                 assert len(brute) == c, f"{group.label}: {len(brute)} != {c}"
 
 
@@ -245,12 +271,12 @@ def closure(group):
 
 
 def fpf_classes_by_element_filter(group, elements):
-    """The class minima as found before the chain: filter, then close each class."""
-    fpf = [p for p in elements if p.is_involution() and p.is_fixed_point_free()]
+    """The class minima as found before the chain: sort, filter, then close each class."""
+    fpf = [p for p in map(Perm, sorted(elements)) if p.is_involution() and p.is_fixed_point_free()]
     reps, assigned = [], set()
     for t in fpf:
         if t not in assigned:
-            assigned.update(orbit_closure(group.generators, [t], lambda g, p: g * p * g.inverse()))
+            assigned.update(orbit_closure(group.generators, [t], lambda g, p: Perm(conjugate(p.images, g.images))))
             reps.append(t)
     return reps
 
@@ -259,8 +285,8 @@ def check_chain_against_closure(group, rng):
     elements = closure(group)
     chain = group.chain()
     assert chain.order == len(elements), group.label
-    listed = enumerate_group(group)
-    assert [p.images for p in listed] == sorted(elements), group.label
+    listed = enumerate_group(chain)
+    assert sorted(listed) == sorted(elements), group.label
     n = group.degree
     for _ in range(20):
         p = list(range(n))
@@ -274,8 +300,7 @@ def check_chain_against_closure(group, rng):
 def relabelled(group, rng):
     sigma = list(range(group.degree))
     rng.shuffle(sigma)
-    by = Perm(sigma)
-    return GroupDesc(group.degree, tuple(g.conjugate(by) for g in group.generators), group.label)
+    return GroupDesc(group.degree, tuple(Perm(conjugate(g.images, tuple(sigma))) for g in group.generators), group.label)
 
 
 @pytest.mark.parametrize("degree", [4, 6, 8])
@@ -302,11 +327,29 @@ def test_chain_matches_the_closure_on_random_generators(group, rng):
     check_chain_against_closure(group, rng)
 
 
+@settings(max_examples=200, deadline=None)
+@given(generator_sets())
+@example(G("()", 1))
+@example(G("()", 4))
+@example(G("(1 2)(3 4)"))
+@example(G("(1 2 3)", 6))
+@example(G("(1 2)"))
+def test_classify_reads_transitivity_off_the_chain(group):
+    try:
+        a = classify(group)
+    except CheckFailed:  # c depends on the base point, which only an intransitive group allows
+        assert not transitive_by_closure(group)
+        return
+    assert a.is_transitive == transitive_by_closure(group)
+    assert a.is_two_transitive == two_transitive_by_closure(group)
+    assert a.order == len(closure(group))
+
+
 def test_chain_of_the_trivial_group():
     chain = G("()", 3).chain()
     assert chain.base == () and chain.order == 1
     assert (0, 1, 2) in chain and (1, 0, 2) not in chain
-    assert enumerate_group(G("()", 3)) == [Perm.identity(3)]
+    assert enumerate_group(chain) == [(0, 1, 2)]
 
 
 def test_past_bound_group_fails_before_building_an_element(monkeypatch):

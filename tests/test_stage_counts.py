@@ -101,15 +101,27 @@ def test_boundary_certify_extracts_once(monkeypatch, witness):
 
 def test_groups_table_enumerates_each_group_once(monkeypatch):
     calls = count_calls(monkeypatch, permgroup, "enumerate_group")
+    chains = count_method_calls(monkeypatch, permgroup.GroupDesc, "chain")
     assert run(["groups", "table", "--catalog", "degree8.cat"]).exit_code == EXIT_OK
     assert len(calls) == 50
     assert len({id(args[0]) for args in calls}) == 50
+    assert len(chains) == 50
 
 
 def test_groups_classify_enumerates_once(monkeypatch):
     calls = count_calls(monkeypatch, permgroup, "enumerate_group")
+    chains = count_method_calls(monkeypatch, permgroup.GroupDesc, "chain")
     assert run(["groups", "classify", "--gens", "(1 2 3 4),(1 3)"]).exit_code == EXIT_OK
     assert len(calls) == 1
+    assert len(chains) == 1
+
+
+def test_a_supplied_quartic_group_builds_one_chain_per_group(monkeypatch):
+    # the supplied group's chain for its cycle types, the derived group's for those and membership
+    chains = count_method_calls(monkeypatch, permgroup.GroupDesc, "chain")
+    argv = ["field", "obstruct", "--minpoly", "t^4+t+1", "--galois-gens", "(1 2 3 4),(1 2)"]
+    assert run(argv).exit_code == EXIT_OK
+    assert len(chains) == 2
 
 
 @pytest.mark.parametrize(
