@@ -275,22 +275,24 @@ def translation(v):
     return tuple(x ^ v for x in range(8))
 
 
+def projective_line_groups(p, non_square):
+    """Generators of PSL(2,p) and PGL(2,p) on P^1(F_p): points 0..p-1 are
+    the field elements and p is infinity.
+
+    PSL(2,p) is generated by z -> z + 1 and z -> -1/z; PGL(2,p) adds
+    z -> non_square * z.
+    """
+    shift = tuple([(z + 1) % p for z in range(p)] + [p])
+    minus_inverse = tuple([p] + [-pow(z, -1, p) % p for z in range(1, p)] + [0])
+    scale = tuple([non_square * z % p for z in range(p)] + [p])
+    psl = [shift, minus_inverse]
+    return psl, psl + [scale]
+
+
 def primitives_degree8():
     s8 = [images("(1 2 3 4 5 6 7 8)", 8), images("(1 2)", 8)]
     a8 = [images("(1 2 3)", 8), images("(2 3 4 5 6 7 8)", 8)]
-    # PSL(2,7) on P^1(F7): points 0..6 field elements, 7 = infinity
-    zp1 = tuple([(i + 1) % 7 for i in range(7)] + [7])
-    inv_pts = [0] * 8
-    inv_pts[7] = 0
-    inv_pts[0] = 7
-    for z in range(1, 7):
-        inv_pts[z] = (-pow(z, 5, 7)) % 7  # -1/z mod 7
-    psl27 = [zp1, tuple(inv_pts)]
-    m = [0] * 8
-    m[7] = 7
-    for z in range(7):
-        m[z] = (3 * z) % 7
-    pgl27 = psl27 + [tuple(m)]
+    psl27, pgl27 = projective_line_groups(7, 3)
     # affine constructions on F_2^3 with basis 1, g, g^2 and g^3 = g + 1
     mult_g = gl32_action([2, 4, 3])
     frobenius = gl32_action([1, 4, 6])
@@ -313,19 +315,7 @@ def primitives_degree8():
 
 
 def primitives_degree6():
-    # PSL(2,5) on P^1(F5): points 0..4 field elements, 5 = infinity
-    zp1 = tuple([(i + 1) % 5 for i in range(5)] + [5])
-    inv_pts = [0] * 6
-    inv_pts[5] = 0
-    inv_pts[0] = 5
-    for z in range(1, 5):
-        inv_pts[z] = (-pow(z, 3, 5)) % 5  # -1/z mod 5
-    psl25 = [zp1, tuple(inv_pts)]
-    m = [0] * 6
-    m[5] = 5
-    for z in range(5):
-        m[z] = (2 * z) % 5
-    pgl25 = psl25 + [tuple(m)]
+    psl25, pgl25 = projective_line_groups(5, 2)
     a6 = [images("(1 2 3)", 6), images("(2 3 4 5 6)", 6)]
     s6 = [images("(1 2 3 4 5 6)", 6), images("(1 2)", 6)]
     return {"PSL(2,5)": psl25, "PGL(2,5)": pgl25, "A6": a6, "S6": s6}

@@ -13,6 +13,7 @@ independently.
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,7 @@ from . import numfield as nf
 from .errors import (
     CheckFailed,
     EqualPoints,
+    NotInGroup,
     NotPsd,
     NotQuadraticallyIndependent,
     NoSolution,
@@ -132,6 +134,10 @@ def cmd_groups(args) -> CommandResult:
         lines = [
             f"group on {group.degree} points, order {analysis.order}",
             f"transitive: {analysis.is_transitive}",
+        ]
+        if not analysis.is_transitive:  # c is defined only for a transitive group
+            return CommandResult(EXIT_INCONCLUSIVE, "\n".join(lines))
+        lines += [
             f"2-transitive: {analysis.is_two_transitive}",
             f"fpf involution classes: {len(analysis.fpf_classes)}",
         ]
@@ -146,6 +152,9 @@ def cmd_groups(args) -> CommandResult:
         group = GroupDesc.from_text(args.gens, args.degree)
         degree = group.degree
         inv = Perm.parse(args.inv, degree)
+        # char_number reports a non-involution or a fixed point before membership is sifted
+        if inv.is_involution() and inv.is_fixed_point_free() and inv.images not in group.chain():
+            raise NotInGroup(f"{inv} is not an element of the generated group")
         c = char_number(group, inv)
         star = c == degree - 1
         starstar = 2 * c > degree
@@ -445,7 +454,10 @@ def run(argv=None) -> CommandResult:
 
 def main(argv=None):
     result = run(argv)
-    print(result.report)
+    try:
+        print(result.report, flush=True)
+    except BrokenPipeError:  # the reader has gone; exit with the command's code, without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush cannot fail again
     sys.exit(result.exit_code)
 
 

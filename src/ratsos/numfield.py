@@ -257,7 +257,7 @@ def norm_form(m: UniPoly, lin: tuple[UniPoly, ...] | None = None) -> Poly:
         raise ZeroPolynomial("need a nonconstant minimal polynomial")
     if not m.is_monic():
         raise NotMonic("minimal polynomial must be monic")
-    if not m.is_squarefree():
+    if sturm_chain(m)[0].degree() != m.degree():
         raise NotSquarefree("minimal polynomial has repeated roots")
     if lin is None:
         lin = canonical_linear_form()
@@ -598,7 +598,7 @@ def obstruction_check(
         return bail(general_position_verdict=gp, **known)
     checks.append(CheckRecord("general position", "pass", gp.value))
 
-    c = char_number(group, tau, check_membership=False)
+    c = char_number(group, tau)
     starstar = 2 * c > two_d
     detail = f"c = {c}, threshold d + 1 = {d + 1}"
     checks.append(CheckRecord("condition (**)", "pass" if starstar else "fail", detail))

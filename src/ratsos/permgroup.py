@@ -29,7 +29,6 @@ from .errors import (
     CheckFailed,
     DimensionMismatch,
     HasFixedPoint,
-    NotInGroup,
     NotInvolution,
     OrderExceeded,
     ParseError,
@@ -241,8 +240,8 @@ def act_unordered_pair(g: Perm, pair: tuple[int, int]) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def orbit_closure(gens: Sequence[Perm], seeds: Iterable, action: Callable) -> list:
-    """Smallest superset of the seeds closed under every generator.
+def orbit_closure(gens: Sequence, seeds: Iterable, action: Callable) -> list:
+    """Smallest superset of the seeds closed under ``action(g, state)`` for every generator g.
 
     Breadth-first with deterministic iteration order (seed order, then
     generator order).
@@ -411,9 +410,9 @@ def fpf_involution_classes(group: GroupDesc, elements: Iterable[tuple[int, ...]]
     """One representative per conjugacy class of fixed-point-free involutions.
 
     ``elements`` are the image tuples from :func:`enumerate_group`; the
-    fixed-point-free involutions among them are sorted, classes are closed
-    under conjugation by the generators, and each is represented by its
-    minimum.  Odd degree yields the empty list.
+    fixed-point-free involutions among them are sorted, each class is the
+    orbit closure of its first member under conjugation by the generators,
+    and so is represented by its minimum.  Odd degree yields the empty list.
     """
     n = group.degree
     fpf = sorted(
@@ -424,17 +423,9 @@ def fpf_involution_classes(group: GroupDesc, elements: Iterable[tuple[int, ...]]
     reps: list[Perm] = []
     assigned: set[tuple[int, ...]] = set()
     for t in fpf:
-        if t in assigned:
-            continue
-        reps.append(Perm(t))
-        assigned.add(t)
-        cls = [t]
-        for c in cls:
-            for g, g_inv in conjugators:
-                d = compose(g, compose(c, g_inv))
-                if d not in assigned:
-                    assigned.add(d)
-                    cls.append(d)
+        if t not in assigned:
+            reps.append(Perm(t))
+            assigned.update(orbit_closure(conjugators, [t], lambda conj, c: compose(conj[0], compose(c, conj[1]))))
     return reps
 
 
@@ -444,18 +435,14 @@ def _pair_closure(group: GroupDesc, t: Perm) -> list[tuple[int, int]]:
     return orbit_closure(group.generators, seeds, act_unordered_pair)
 
 
-def char_number(
-    group: GroupDesc,
-    t: Perm,
-    check_membership: bool = True,
-) -> int:
-    """Characteristic number c(G, X, t) for a fixed-point-free involution t.
+def char_number(group: GroupDesc, t: Perm) -> int:
+    """Characteristic number c(G, X, t) for a fixed-point-free involution t
+    of a transitive group.
 
     Computed as the closure of the pairs {z, tz} under the generators,
     counting pairs through a base point; the count is checked to be the
-    same at every base point.  With ``check_membership``, t is sifted
-    through the stabilizer chain, at any group order, and
-    :class:`NotInGroup` is raised when it is not an element.
+    same at every base point.  Membership of t is the caller's to verify,
+    by sifting it through the group's stabilizer chain.
     """
     if t.degree != group.degree:
         raise ValueError("degree mismatch")
@@ -463,8 +450,6 @@ def char_number(
         raise NotInvolution(f"{t} is not an involution")
     if not t.is_fixed_point_free():
         raise HasFixedPoint(f"{t} fixes points {[p + 1 for p in t.fixed_points()]}")
-    if check_membership and t.images not in group.chain():
-        raise NotInGroup(f"{t} is not an element of the generated group")
     pairs = _pair_closure(group, t)
     counts = [0] * group.degree
     for a, b in pairs:
@@ -513,18 +498,19 @@ def classify(group: GroupDesc) -> GroupAnalysis:
     One stabilizer chain gives the order and the orbit lengths: the group
     is transitive iff the orbit of the first base point is all of X, and
     2-transitive iff moreover its stabilizer's orbit is X minus that point.
-    The group is enumerated once; the fpf classes are read off that list.
+    c is defined only for a transitive group, so an intransitive one stops
+    there, with no fpf classes.  Otherwise the group is enumerated once;
+    the fpf classes are read off that list.
     """
     n = group.degree
     chain = group.chain()
     orbits = [len(t) for t in chain.transversals] + [1, 1]  # levels past the base are trivial
     transitive = orbits[0] == n
     two_trans = n >= 2 and transitive and orbits[1] == n - 1
-    elements = enumerate_group(chain)
+    classes = fpf_involution_classes(group, enumerate_group(chain)) if transitive else []
     infos = []
-    for t in fpf_involution_classes(group, elements):
-        # 2-transitive actions reach every pair, so c = n - 1 without closure
-        c = n - 1 if two_trans else char_number(group, t, check_membership=False)
+    for t in classes:
+        c = char_number(group, t)
         infos.append(
             FpfClassInfo(
                 rep=t,
@@ -546,7 +532,11 @@ def classify(group: GroupDesc) -> GroupAnalysis:
 
 @dataclass(frozen=True)
 class CatalogTable:
-    """One table row: counts of groups per the four classification columns."""
+    """One table row: counts of groups per the four classification columns.
+
+    ``total`` counts the transitive entries of the catalog, failed ones
+    included.
+    """
 
     degree: int
     total: int
@@ -598,6 +588,7 @@ def classify_catalog(catalog: Sequence[GroupDesc]) -> CatalogTable:
     deg = entries[0].degree
     cols: dict[str, list[str]] = {"fpf": [], "2t": [], "star": [], "ss": []}
     failures = []
+    intransitive = 0
     for g in entries:
         try:
             a = classify(g)
@@ -606,6 +597,7 @@ def classify_catalog(catalog: Sequence[GroupDesc]) -> CatalogTable:
             continue
         if not a.is_transitive:
             failures.append((g.label, "not transitive"))
+            intransitive += 1
             continue
         if a.has_fpf_involution:
             cols["fpf"].append(g.label)
@@ -617,7 +609,7 @@ def classify_catalog(catalog: Sequence[GroupDesc]) -> CatalogTable:
                 cols["ss"].append(g.label)
     return CatalogTable(
         degree=deg,
-        total=len(entries),
+        total=len(entries) - intransitive,
         labels_fpf=tuple(cols["fpf"]),
         labels_two_transitive=tuple(cols["2t"]),
         labels_star_not_2trans=tuple(cols["star"]),

@@ -232,9 +232,6 @@ class Poly:
     def __sub__(self, other):
         return self + (-other if isinstance(other, Poly) else Poly.constant(self.nvars, -Fraction(other)))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
@@ -368,16 +365,6 @@ class UniPoly:
     def __neg__(self):
         return UniPoly([-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly([other])
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
@@ -461,24 +448,6 @@ class UniPoly:
             seq.append(UniPoly(_positive_primitive(rem.coeffs)))
         seq.pop()
         return seq
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic greatest common divisor: the last term of the remainder sequence."""
-        last = self.remainder_sequence(other)[-1]
-        return last.monic() if last else last
-
-    def is_squarefree(self) -> bool:
-        if not self.coeffs:
-            return False
-        return self.gcd(self.derivative()).degree() == 0
-
-    def squarefree_part(self) -> "UniPoly":
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial")
-        g = self.gcd(self.derivative())
-        if g.degree() == 0:
-            return self
-        return self // g
 
     # -- comparison / display ---------------------------------------------
 

@@ -184,12 +184,13 @@ def rational_roots(p: UniPoly, chain: Sequence[UniPoly] = ()) -> list[Fraction]:
     square the modulus until it exceeds twice the Cauchy bound of P, and
     kept only if P(y) = 0 exactly.  No root modulo that prime proves that
     q has no rational root.  The cost is polynomial in the degree and the
-    bit size of the coefficients.  A caller that has built the Sturm chain
-    of ``p`` passes it as ``chain``: its first term is the squarefree part.
+    bit size of the coefficients.  The squarefree part is the first term
+    of the Sturm chain of ``p``, built here unless the caller passes it as
+    ``chain``.
     """
     if not p:
         raise ZeroPolynomial("zero polynomial")
-    squarefree = chain[0] if chain else p.squarefree_part()
+    squarefree = (chain or sturm_chain(p))[0]
     low = next(i for i, a in enumerate(squarefree.coeffs) if a)
     roots = [Fraction(0)] if low else []
     q = UniPoly(squarefree.coeffs[low:])

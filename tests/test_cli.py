@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -45,8 +46,21 @@ def test_groups_table_reports_an_intransitive_entry_as_failed(tmp_path, json_fla
     catalog.write_text("4;X;(1 2)(3 4)\n4;C4;(1 2 3 4)\n")
     res = run(["groups", "table", "--catalog", str(catalog), *json_flag])
     assert res.exit_code == EXIT_INCONCLUSIVE
-    assert res.report.splitlines()[2] == "  4      1          0            0                0"  # C4 only
-    assert res.report.splitlines()[-1] == "  FAILED X: not transitive"
+    lines = res.report.splitlines()
+    assert lines[0] == "degree 4: 1 transitive groups in catalog"
+    assert lines[2] == "  4      1          0            0                0"  # C4 only
+    assert lines[-1] == "  FAILED X: not transitive"
+
+
+@pytest.mark.parametrize("line", ["4;X;(1 2)(3 4)", "6;X;(2 3)(5 6),(1 4 5 6)"])
+def test_groups_table_counts_no_intransitive_entry_in_its_header(tmp_path, line):
+    catalog = tmp_path / "groups.cat"
+    catalog.write_text(line + "\n")
+    res = run(["groups", "table", "--catalog", str(catalog)])
+    assert res.exit_code == EXIT_INCONCLUSIVE
+    lines = res.report.splitlines()
+    assert lines[0] == f"degree {line[0]}: 0 transitive groups in catalog"
+    assert lines[-1] == "  FAILED X: not transitive"
 
 
 def test_groups_char_number():
@@ -147,6 +161,18 @@ def test_groups_classify():
     assert res.exit_code == EXIT_OK
     assert "2-transitive: False" in res.report
     assert "c = 2" in res.report and "c = 1" in res.report
+
+
+@pytest.mark.parametrize(
+    "gens, head",
+    [("(1 2)(3 4)", "group on 4 points, order 2"), ("(2 3)(5 6),(1 4 5 6)", "group on 6 points, order 48")],
+    ids=["c2", "base-point-dependent"],
+)
+def test_groups_classify_an_intransitive_group_is_inconclusive(gens, head):
+    # c is defined only for a transitive group: no class count and no c line
+    res = run(["groups", "classify", "--gens", gens])
+    assert res.exit_code == EXIT_INCONCLUSIVE
+    assert res.report == f"{head}\ntransitive: False"
 
 
 def test_field_obstruct_s4():
@@ -494,6 +520,27 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "4  5  2  0  0"
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["groups", "table", "--catalog", "degree4.cat"], EXIT_OK),
+        (["groups", "char-number", "--gens", "(1 2 3 4),(1 3)", "--inv", "(1 2 3)"], EXIT_INPUT),
+    ],
+    ids=["table", "input-error"],
+)
+def test_a_closed_stdout_exits_quietly_with_the_command_code(argv, exit_code):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratsos", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == exit_code
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("flag", [["--enum-bound", "5"], ["--precision-bits", "64"]],

@@ -74,6 +74,14 @@ CASES = {
         ]
         for kind in ("rational", "generic", "differ")
     },
+    "gram-verify-readme": ["gram", "verify", "--form", "x1^4+x2^4", "--squares", "x1^2;x2^2"],
+    # the squares expand to another form: exit 1
+    "gram-verify-mismatch": ["gram", "verify", "--form", "x1^4+x2^4", "--squares", "x1^2;x1*x2"],
+    "gram-extract-q-demo": ["gram", "extract-q", "--form", "2*x1^4 + 3*x2^4", "--basis", "x1^2;x2^2"],
+    # x1^3*x2 is not in the span of x1^4, x1^2*x2^2, x2^4: exit 1
+    "gram-extract-q-no-solution": ["gram", "extract-q", "--form", "x1^3*x2", "--basis", "x1^2;x2^2"],
+    # (x1*x2)^2 = x1^2 * x2^2: the products are dependent, exit 2
+    "gram-extract-q-dependent": ["gram", "extract-q", "--form", "x1^3*x2", "--basis", "x1^2;x1*x2;x2^2"],
     "groups-classify-d4": ["groups", "classify", "--gens", "(1 2 3 4),(1 3)"],
     "groups-classify-s6": ["groups", "classify", "--gens", "(1 2 3 4 5 6),(1 2)"],
     "groups-char-number-d4": ["groups", "char-number", "--gens", "(1 2 3 4),(1 3)", "--inv", "(1 2)(3 4)"],

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from ratsos.errors import ParseError
 from ratsos.poly import Poly, UniPoly, monomials, parse_rational, primitive_vector
+from ratsos.sturm import sturm_chain
 
 x1 = Poly.variable(1, 3)
 x2 = Poly.variable(2, 3)
@@ -156,15 +157,16 @@ def test_unipoly_divmod_gcd():
     q, r = divmod(a, b)
     assert not r
     assert q == UniPoly.parse("t^2 + t + 1")
-    assert a.gcd(UniPoly.parse("t^2 - 1")) == UniPoly.parse("t - 1")
-    assert a.gcd(UniPoly.parse("t + 2")).degree() == 0
+    # the last term of the remainder sequence is the gcd, up to a nonzero constant
+    assert a.remainder_sequence(UniPoly.parse("t^2 - 1"))[-1].monic() == UniPoly.parse("t - 1")
+    assert a.remainder_sequence(UniPoly.parse("t + 2"))[-1].degree() == 0
 
 
 def test_unipoly_squarefree():
-    assert UniPoly.parse("t^2+1").is_squarefree()
+    # squarefreeness is read off the first term of the Sturm chain
+    assert sturm_chain(UniPoly.parse("t^2+1"))[0].degree() == 2
     sq = UniPoly.parse("t^2 - 2*t + 1")
-    assert not sq.is_squarefree()
-    assert sq.squarefree_part() == UniPoly.parse("t - 1")
+    assert sturm_chain(sq)[0] == UniPoly.parse("t - 1")
 
 
 @given(st.lists(rationals(), max_size=6), st.lists(rationals(), max_size=6))

@@ -116,6 +116,15 @@ def test_groups_classify_enumerates_once(monkeypatch):
     assert len(chains) == 1
 
 
+@pytest.mark.parametrize("gens", ["(2 3)(5 6),(1 4 5 6)", "(1 2)(3 4)"])
+def test_groups_classify_stops_at_the_chain_of_an_intransitive_group(monkeypatch, gens):
+    enumerations = count_calls(monkeypatch, permgroup, "enumerate_group")
+    closures = count_calls(monkeypatch, permgroup, "char_number")
+    assert run(["groups", "classify", "--gens", gens]).exit_code == EXIT_INCONCLUSIVE
+    assert len(enumerations) == 0
+    assert len(closures) == 0
+
+
 def test_a_supplied_quartic_group_builds_one_chain_per_group(monkeypatch):
     # the supplied group's chain for its cycle types, the derived group's for those and membership
     chains = count_method_calls(monkeypatch, permgroup.GroupDesc, "chain")
@@ -294,20 +303,18 @@ def test_gram_shrink_refines_with_one_sturm_count(monkeypatch):
 @pytest.mark.parametrize(
     "argv, exit_code, counts",
     [
-        # rational_roots of m reads the chain of m; the resolvent cubic takes the only gcd
-        (["field", "obstruct", "--minpoly", "t^4+t+1"], EXIT_OK,
-         {"gcd": 1, "is_squarefree": 0, "sturm_chain": 1}),
-        (["field", "galois", "--minpoly", "t^4+2"], EXIT_OK, {"gcd": 1, "is_squarefree": 0, "sturm_chain": 1}),
+        # one chain of m serves every check on m; rational_roots builds the resolvent cubic's
+        (["field", "obstruct", "--minpoly", "t^4+t+1"], EXIT_OK, {"remainder_sequence": 2, "sturm_chain": 2}),
+        (["field", "galois", "--minpoly", "t^4+2"], EXIT_OK, {"remainder_sequence": 2, "sturm_chain": 2}),
         # one chain of det Q(s) isolates s*, finds it when rational, and refines it otherwise
-        (_shrink_argv("generic"), EXIT_INCONCLUSIVE, {"gcd": 0, "is_squarefree": 0, "sturm_chain": 1}),
-        (_shrink_argv("rational"), EXIT_OK, {"gcd": 0, "is_squarefree": 0, "sturm_chain": 1}),
+        (_shrink_argv("generic"), EXIT_INCONCLUSIVE, {"remainder_sequence": 1, "sturm_chain": 1}),
+        (_shrink_argv("rational"), EXIT_OK, {"remainder_sequence": 1, "sturm_chain": 1}),
     ],
     ids=["obstruct-quartic", "galois-d4", "shrink-generic", "shrink-rational"],
 )
 def test_one_remainder_sequence_per_polynomial(monkeypatch, argv, exit_code, counts):
     calls = {
-        "gcd": count_method_calls(monkeypatch, UniPoly, "gcd"),
-        "is_squarefree": count_method_calls(monkeypatch, UniPoly, "is_squarefree"),
+        "remainder_sequence": count_method_calls(monkeypatch, UniPoly, "remainder_sequence"),
         "sturm_chain": count_calls(monkeypatch, sturm, "sturm_chain"),
     }
     assert run(argv).exit_code == exit_code
