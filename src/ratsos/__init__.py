@@ -16,7 +16,6 @@ from .boundary import (
     PositivityVerdict,
     UniquenessCert,
     WeightTuple,
-    ZeroSetVerdict,
     assemble_sextic,
     boundary_chain,
     boundary_cert,

@@ -281,36 +281,33 @@ def hilbert_function(u_basis: Sequence[Poly]) -> tuple[int, ...]:
     return tuple(dims)
 
 
-class ZeroSetVerdict(enum.Enum):
-    EMPTY = "Empty"
-    NON_EMPTY = "NonEmpty"
-
-
 class PositivityVerdict(enum.Enum):
     STRICTLY_POSITIVE = "StrictlyPositive"
     INCONCLUSIVE = "Inconclusive"
 
 
-def _zero_set(hilbert: Sequence[int]) -> ZeroSetVerdict:
-    """Read the projective zero set of three cubics off their Hilbert function.
+def _positivity(hilbert: Sequence[int]) -> PositivityVerdict:
+    """Strict positivity of q1^2 + q2^2 + q3^2, read off the Hilbert function
+    of the cubics q_i.
 
     For an Artinian complete intersection of three cubics the Hilbert
     series ends at degree 6, so V(U) is empty iff I_7 fills all of A_7; a
     nonempty projective zero set keeps every graded piece of A/I nonzero.
+    Real zeros of the sum are common zeros of the q_i, so an empty zero set
+    makes the sum strictly positive, and a nonempty one decides nothing.
     """
-    return ZeroSetVerdict.EMPTY if hilbert[7] == 0 else ZeroSetVerdict.NON_EMPTY
+    return PositivityVerdict.STRICTLY_POSITIVE if hilbert[7] == 0 else PositivityVerdict.INCONCLUSIVE
 
 
-# real zeros of sum q_i^2 are common zeros of the q_i: none makes the sum strictly positive
-_POSITIVITY = {
-    ZeroSetVerdict.EMPTY: PositivityVerdict.STRICTLY_POSITIVE,
-    ZeroSetVerdict.NON_EMPTY: PositivityVerdict.INCONCLUSIVE,
-}
+def empty_zero_check(u_basis: Sequence[Poly]) -> bool:
+    """Whether the projective zero set of the cubics is empty."""
+    return _positivity(hilbert_function(u_basis)) is PositivityVerdict.STRICTLY_POSITIVE
 
 
-def empty_zero_check(u_basis: Sequence[Poly]) -> ZeroSetVerdict:
-    """Decide whether the projective zero set of the cubics is empty."""
-    return _zero_set(hilbert_function(u_basis))
+def _moment_rank(kernel: Sequence[Poly] | None) -> int | None:
+    """Rank of the moment matrix on the cubics whose kernel is ``kernel``
+    (None when the matrix is not PSD)."""
+    return None if kernel is None else len(CUBICS) - len(kernel)
 
 
 @dataclass(frozen=True)
@@ -338,7 +335,7 @@ class BoundaryCert:
 
     @property
     def psd_rank(self) -> int | None:
-        return None if self.kernel is None else len(CUBICS) - len(self.kernel)
+        return _moment_rank(self.kernel)
 
     def render(self) -> str:
         lines = [
@@ -385,7 +382,7 @@ def _certify_on_kernel(
     def rejected(reason: str) -> BoundaryCert:
         return BoundaryCert(False, reason, f, alpha_f, kernel)
 
-    if len(CUBICS) - len(kernel) < 2:
+    if _moment_rank(kernel) < 2:
         return rejected("moment matrix has rank < 2: alpha is a point evaluation")
     if alpha_f != 0:
         return rejected(f"alpha(f) = {alpha_f} != 0: f is not on the face cut out by alpha")
@@ -482,7 +479,7 @@ class BoundaryChain:
 
     @property
     def rank(self) -> int | None:
-        return None if self.kernel is None else len(CUBICS) - len(self.kernel)
+        return _moment_rank(self.kernel)
 
 
 def boundary_chain(cfg: NinePointConfig, tup: WeightTuple) -> BoundaryChain:
@@ -507,7 +504,7 @@ def boundary_chain(cfg: NinePointConfig, tup: WeightTuple) -> BoundaryChain:
         return BoundaryChain(u, verdict, alpha, kernel)
     f = assemble_sextic(kernel)
     hilbert = hilbert_function(kernel)
-    positivity = _POSITIVITY[_zero_set(hilbert)]
+    positivity = _positivity(hilbert)
     boundary = _certify_on_kernel(f, alpha(f), kernel)
     uniqueness = uniqueness_cert(boundary)
     return BoundaryChain(u, verdict, alpha, kernel, f, hilbert, positivity, boundary, uniqueness)

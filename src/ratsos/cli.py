@@ -33,6 +33,7 @@ from .errors import (
 )
 from .linalg import SymMatrix
 from .permgroup import (
+    FpfClassInfo,
     GroupDesc,
     Perm,
     char_number,
@@ -106,6 +107,14 @@ def format_gram(point: gr.GramPoint) -> str:
 # groups
 
 
+def _group_lines(degree: int, order: int, transitive: bool) -> list[str]:
+    return [f"group on {degree} points, order {order}", f"transitive: {transitive}"]
+
+
+def _conditions(info: FpfClassInfo) -> str:
+    return f"(*) {'yes' if info.satisfies_star else 'no'}, (**) {'yes' if info.satisfies_starstar else 'no'}"
+
+
 def cmd_groups(args) -> CommandResult:
     if args.subcommand == "table":
         catalog = _load_catalog(args.catalog)
@@ -113,28 +122,16 @@ def cmd_groups(args) -> CommandResult:
         if table.failures:
             return CommandResult(EXIT_INCONCLUSIVE, table.render())
         if args.json:
-            payload = {
-                "degree": table.degree,
-                "row": list(table.row()),
-                "columns": {
-                    "fpf": list(table.labels_fpf),
-                    "two_transitive": list(table.labels_two_transitive),
-                    "star_not_2transitive": list(table.labels_star_not_2trans),
-                    "starstar_not_star": list(table.labels_starstar_not_star),
-                },
-            }
+            payload = {"degree": table.degree, "row": list(table.row()), "columns": table.columns}
             return CommandResult(EXIT_OK, json.dumps(payload, indent=2))
         row = table.row()
         lines = ["  ".join(str(v) for v in row), table.render()]
         return CommandResult(EXIT_OK, "\n".join(lines))
 
+    group = GroupDesc.from_text(args.gens, args.degree)
     if args.subcommand == "classify":
-        group = GroupDesc.from_text(args.gens, args.degree)
         analysis = classify(group)
-        lines = [
-            f"group on {group.degree} points, order {analysis.order}",
-            f"transitive: {analysis.is_transitive}",
-        ]
+        lines = _group_lines(group.degree, analysis.order, analysis.is_transitive)
         if not analysis.is_transitive:  # c is defined only for a transitive group
             return CommandResult(EXIT_INCONCLUSIVE, "\n".join(lines))
         lines += [
@@ -142,24 +139,21 @@ def cmd_groups(args) -> CommandResult:
             f"fpf involution classes: {len(analysis.fpf_classes)}",
         ]
         for info in analysis.fpf_classes:
-            lines.append(
-                f"  t = {info.rep}: c = {info.c}, (*) {'yes' if info.satisfies_star else 'no'},"
-                f" (**) {'yes' if info.satisfies_starstar else 'no'}"
-            )
+            lines.append(f"  t = {info.rep}: c = {info.c}, {_conditions(info)}")
         return CommandResult(EXIT_OK, "\n".join(lines))
 
     if args.subcommand == "char-number":
-        group = GroupDesc.from_text(args.gens, args.degree)
-        degree = group.degree
-        inv = Perm.parse(args.inv, degree)
-        # char_number reports a non-involution or a fixed point before membership is sifted
-        if inv.is_involution() and inv.is_fixed_point_free() and inv.images not in group.chain():
-            raise NotInGroup(f"{inv} is not an element of the generated group")
-        c = char_number(group, inv)
-        star = c == degree - 1
-        starstar = 2 * c > degree
-        report = f"c={c}, (*) {'yes' if star else 'no'}, (**) {'yes' if starstar else 'no'}"
-        return CommandResult(EXIT_OK, report)
+        inv = Perm.parse(args.inv, group.degree)
+        chain = group.chain()
+        # char_number reports a non-involution or a fixed point before membership and transitivity
+        if inv.is_involution() and inv.is_fixed_point_free():
+            if inv.images not in chain:
+                raise NotInGroup(f"{inv} is not an element of the generated group")
+            if not chain.is_transitive:
+                lines = _group_lines(group.degree, chain.order, False)
+                return CommandResult(EXIT_INCONCLUSIVE, "\n".join(lines))
+        info = FpfClassInfo(inv, char_number(group, inv))
+        return CommandResult(EXIT_OK, f"c={info.c}, {_conditions(info)}")
 
     raise AssertionError(f"unknown groups subcommand {args.subcommand}")
 
@@ -228,13 +222,21 @@ def _render_chain(chain: bd.BoundaryChain) -> tuple[int, str]:
     lines.append(f"assembled sextic f = {chain.f}")
     lines.append(f"Hilbert function of A/(U): {chain.hilbert}")
     lines.append(f"strict positivity: {chain.positivity.value}")
-    lines.append(chain.boundary.render())
-    if not chain.boundary.certified:
+    strict = chain.positivity is bd.PositivityVerdict.STRICTLY_POSITIVE
+    return _certificates(lines, chain.boundary, chain.uniqueness, strict)
+
+
+def _certificates(
+    lines: list[str], boundary: bd.BoundaryCert, uniqueness: bd.UniquenessCert, strict: bool = True
+) -> tuple[int, str]:
+    """Append the boundary and uniqueness reports and pick the exit code: 1
+    when the boundary certificate fails, 2 when uniqueness fails or strict
+    positivity is not established, else 0."""
+    lines.append(boundary.render())
+    if not boundary.certified:
         return EXIT_NEGATIVE, "\n".join(lines)
-    lines.append(chain.uniqueness.render())
-    if not chain.uniqueness.certified or chain.positivity is not bd.PositivityVerdict.STRICTLY_POSITIVE:
-        return EXIT_INCONCLUSIVE, "\n".join(lines)
-    return EXIT_OK, "\n".join(lines)
+    lines.append(uniqueness.render())
+    return (EXIT_OK if uniqueness.certified and strict else EXIT_INCONCLUSIVE), "\n".join(lines)
 
 
 def cmd_boundary(args) -> CommandResult:
@@ -275,11 +277,7 @@ def cmd_boundary(args) -> CommandResult:
         except (OSError, ValueError, RatsosError) as exc:
             return CommandResult(EXIT_INPUT, f"input error: {exc}")
         cert = bd.boundary_cert(f, alpha, witness=witness)
-        if not cert.certified:
-            return CommandResult(EXIT_NEGATIVE, cert.render())
-        uc = bd.uniqueness_cert(cert)
-        report = cert.render() + "\n" + uc.render()
-        return CommandResult(EXIT_OK if uc.certified else EXIT_INCONCLUSIVE, report)
+        return CommandResult(*_certificates([], cert, bd.uniqueness_cert(cert)))
 
     raise AssertionError(f"unknown boundary subcommand {args.subcommand}")
 
@@ -341,7 +339,7 @@ def cmd_gram(args) -> CommandResult:
             res = gr.shrink_span(g1, g2)
         except (SpansDiffer, EqualPoints) as exc:
             return CommandResult(EXIT_NEGATIVE, f"{type(exc).__name__}: {exc}")
-        if res.deferred:
+        if res.s_exact is None:
             lo, hi = res.s_interval
             return CommandResult(
                 EXIT_INCONCLUSIVE,

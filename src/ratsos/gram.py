@@ -251,13 +251,12 @@ class ShrinkResult:
 
     ``s_exact`` is set when the smallest boundary parameter s* > 1 is
     rational; then ``boundary`` is the rank-dropped Gram point there.
-    Otherwise ``deferred`` is set and ``s_interval`` isolates s* exactly.
+    Otherwise ``s_exact`` is None and ``s_interval`` isolates s* exactly.
     """
 
     s_interval: tuple[Fraction, Fraction]
     s_exact: Fraction | None = None
     boundary: GramPoint | None = None
-    deferred: bool = False
     rank_before: int | None = None
     rank_after: int | None = None
 
@@ -269,8 +268,8 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
     s* is the smallest root > 1 of det Q(s), located by Sturm isolation
     and, if rational, found exactly among the rational roots of det Q.
     At a rational s* the boundary matrix G(s*) is returned with its rank
-    drop verified exactly; at an irrational s* the isolating interval comes
-    back with the deferred flag.
+    drop verified exactly; at an irrational s* only the isolating interval
+    comes back.
     """
     f = mu(g1)
     if mu(g2) != f:
@@ -309,7 +308,7 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
     exact = next((root for root in rational_roots(det_poly, chain) if lo < root <= hi), None)
     if exact is None:  # s* is irrational: refinement cannot land on it
         lo, hi = refine_interval(chain, (lo, hi), Fraction(1, 2**64))
-        return ShrinkResult(s_interval=(lo, hi), deferred=True, rank_before=rank_before)
+        return ShrinkResult(s_interval=(lo, hi), rank_before=rank_before)
     full = [
         [a + exact * (b - a) for a, b in zip(row1, row2)]
         for row1, row2 in zip(g1.matrix.rows, g2.matrix.rows)

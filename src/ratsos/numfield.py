@@ -6,8 +6,8 @@ The obstruction: for a totally imaginary field of degree 2d >= 4 whose
 Galois action together with complex conjugation tau has characteristic
 number c > d (condition (**)), the norm form of a sufficiently general
 linear form is a real sum of two squares but not a rational sum of squares.
-Every check feeding that conclusion here is either exact (Sturm counts,
-gcds, Vandermonde reasoning) or interval-certified.
+Every check feeding that conclusion here is either exact (Sturm chains
+and counts, Vandermonde reasoning) or interval-certified.
 """
 
 import enum
@@ -31,7 +31,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .intervals import Box, Interval, det3_box, eval_unipoly_box
-from .permgroup import GroupDesc, Perm, StabChain, char_number
+from .permgroup import FpfClassInfo, GroupDesc, Perm, StabChain, char_number
 from .poly import Poly, UniPoly
 from .resultants import pencil_det
 from .sturm import count_real_roots, rational_roots, sturm_chain
@@ -64,7 +64,6 @@ class RootSystem:
     minpoly: UniPoly
     boxes: tuple[Box, ...]
     pairing: Perm
-    totally_imaginary: bool
     precision_bits: int
     chain: tuple[UniPoly, ...] = ()
 
@@ -156,7 +155,6 @@ def isolate_roots(m: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS, chai
                 minpoly=m,
                 boxes=tuple(boxes),
                 pairing=Perm(pairing_images),
-                totally_imaginary=(n_real == 0),
                 precision_bits=prec,
                 chain=chain,
             )
@@ -511,7 +509,9 @@ def obstruction_check(
     checked against it by cycle types and, when conjugate, replaced by it.
     Higher degrees require ``group`` as input, acting on the root indices
     of ``isolate_roots(m)``; it is an assumption there, so the most it
-    supports is CONDITIONAL_NOT_Q_SOS.  tau is never supplied.  One
+    supports is CONDITIONAL_NOT_Q_SOS, and it is checked transitive before
+    anything else, since c is defined only for a transitive group.  tau is
+    never supplied.  One
     Sturm chain of m serves the squarefree and real-root checks and the
     isolation, and the roots of m are isolated once (by ``quartic_galois``
     or here): tau is their certified conjugation pairing, and the same
@@ -545,6 +545,13 @@ def obstruction_check(
         return bail()
     if not m.is_monic():
         raise NotMonic("minimal polynomial must be monic")
+    if two_d > 4 and group is not None:
+        stab = group.chain()
+        transitive = stab.is_transitive
+        detail = f"{'one orbit' if transitive else 'several orbits'} on the {two_d} root indices"
+        checks.append(CheckRecord("supplied group transitive", "pass" if transitive else "fail", detail))
+        if not transitive:
+            return bail()
     chain = sturm_chain(m)
     if chain[0].degree() != two_d:
         checks.append(CheckRecord("squarefree", "fail", "gcd(m, m') is nonconstant"))
@@ -577,7 +584,7 @@ def obstruction_check(
     elif group is None:
         raise GaloisDataMissing("degree > 4 requires explicit Galois data")
     else:
-        rs, proven, stab = isolate_roots(m, chain=chain), Conclusion.CONDITIONAL_NOT_Q_SOS, group.chain()
+        rs, proven = isolate_roots(m, chain=chain), Conclusion.CONDITIONAL_NOT_Q_SOS
     tau = rs.pairing
 
     if not tau.is_involution() or not tau.is_fixed_point_free():
@@ -598,12 +605,11 @@ def obstruction_check(
         return bail(general_position_verdict=gp, **known)
     checks.append(CheckRecord("general position", "pass", gp.value))
 
-    c = char_number(group, tau)
-    starstar = 2 * c > two_d
-    detail = f"c = {c}, threshold d + 1 = {d + 1}"
-    checks.append(CheckRecord("condition (**)", "pass" if starstar else "fail", detail))
-    conclusion = proven if starstar else Conclusion.NO_OBSTRUCTION
-    return bail(conclusion, c=c, general_position_verdict=gp, **known)
+    info = FpfClassInfo(tau, char_number(group, tau))
+    detail = f"c = {info.c}, threshold d + 1 = {d + 1}"
+    checks.append(CheckRecord("condition (**)", "pass" if info.satisfies_starstar else "fail", detail))
+    conclusion = proven if info.satisfies_starstar else Conclusion.NO_OBSTRUCTION
+    return bail(conclusion, c=info.c, general_position_verdict=gp, **known)
 
 
 def _cycle_types(chain: StabChain) -> list[tuple[int, ...]]:

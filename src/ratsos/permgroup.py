@@ -17,7 +17,8 @@ The characteristic number c of (G, X, t) is the size of the orbit of a
 point under the conjugacy class of t.  It is computed by closing the set
 of unordered pairs {z, tz} under the generators (at most n(n-1)/2 states)
 and counting pairs through a base point -- no group enumeration needed.
-Condition (*) is c = |X| - 1 and condition (**) is c > |X|/2.
+Condition (*) is c = |X| - 1 and condition (**) is c > |X|/2; both are
+decided on :class:`FpfClassInfo`.
 """
 
 import re
@@ -273,7 +274,8 @@ def orbit_closure(gens: Sequence, seeds: Iterable, action: Callable) -> list:
 @dataclass(frozen=True)
 class StabChain:
     """Stabilizer chain of a permutation group on {0..degree-1}: its order,
-    membership by sifting, and its element list.
+    transitivity and 2-transitivity, membership by sifting, and its element
+    list.
 
     ``transversals[i]`` maps each point of the orbit of ``base[i]`` under
     the stabilizer of ``base[:i]`` to an element (image tuple) sending
@@ -288,6 +290,21 @@ class StabChain:
     @property
     def order(self) -> int:
         return prod(len(t) for t in self.transversals)
+
+    @property
+    def is_transitive(self) -> bool:
+        """Whether the orbit of the first base point is every point."""
+        return self._orbit_length(0) == self.degree
+
+    @property
+    def is_two_transitive(self) -> bool:
+        """Whether the group is transitive and the stabilizer of the first
+        base point is transitive on the other points."""
+        return self.degree >= 2 and self.is_transitive and self._orbit_length(1) == self.degree - 1
+
+    def _orbit_length(self, level: int) -> int:
+        # levels past the base are trivial
+        return len(self.transversals[level]) if level < len(self.transversals) else 1
 
     def sift(self, images: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
         """Divide off transversal elements from level ``start`` down.
@@ -466,19 +483,27 @@ def char_number(group: GroupDesc, t: Perm) -> int:
 
 @dataclass(frozen=True)
 class FpfClassInfo:
+    """A fixed-point-free involution of a transitive group on X and its
+    characteristic number c, with the conditions (*) and (**) on c."""
+
     rep: Perm
     c: int
-    satisfies_star: bool
-    satisfies_starstar: bool
+
+    @property
+    def satisfies_star(self) -> bool:
+        """Condition (*): c = |X| - 1."""
+        return self.c == self.rep.degree - 1
+
+    @property
+    def satisfies_starstar(self) -> bool:
+        """Condition (**): c > |X|/2."""
+        return 2 * self.c > self.rep.degree
 
 
 @dataclass(frozen=True)
 class GroupAnalysis:
-    label: str
-    degree: int
     is_transitive: bool
     is_two_transitive: bool
-    has_fpf_involution: bool
     fpf_classes: tuple[FpfClassInfo, ...]
     order: int
 
@@ -495,44 +520,21 @@ def classify(group: GroupDesc) -> GroupAnalysis:
     """Full analysis: transitivity, 2-transitivity, fpf classes with their
     characteristic numbers and the (*) / (**) verdicts.
 
-    One stabilizer chain gives the order and the orbit lengths: the group
-    is transitive iff the orbit of the first base point is all of X, and
-    2-transitive iff moreover its stabilizer's orbit is X minus that point.
+    One stabilizer chain gives the order, transitivity and 2-transitivity.
     c is defined only for a transitive group, so an intransitive one stops
     there, with no fpf classes.  Otherwise the group is enumerated once;
     the fpf classes are read off that list.
     """
-    n = group.degree
     chain = group.chain()
-    orbits = [len(t) for t in chain.transversals] + [1, 1]  # levels past the base are trivial
-    transitive = orbits[0] == n
-    two_trans = n >= 2 and transitive and orbits[1] == n - 1
-    classes = fpf_involution_classes(group, enumerate_group(chain)) if transitive else []
-    infos = []
-    for t in classes:
-        c = char_number(group, t)
-        infos.append(
-            FpfClassInfo(
-                rep=t,
-                c=c,
-                satisfies_star=(c == n - 1),
-                satisfies_starstar=(2 * c > n),
-            )
-        )
-    return GroupAnalysis(
-        label=group.label,
-        degree=n,
-        is_transitive=transitive,
-        is_two_transitive=two_trans,
-        has_fpf_involution=bool(infos),
-        fpf_classes=tuple(infos),
-        order=chain.order,
-    )
+    classes = fpf_involution_classes(group, enumerate_group(chain)) if chain.is_transitive else []
+    infos = tuple(FpfClassInfo(t, char_number(group, t)) for t in classes)
+    return GroupAnalysis(chain.is_transitive, chain.is_two_transitive, infos, chain.order)
 
 
 @dataclass(frozen=True)
 class CatalogTable:
-    """One table row: counts of groups per the four classification columns.
+    """One table row: the labels of the catalog's groups in each of the four
+    classification columns, keyed by their names in ``groups table --json``.
 
     ``total`` counts the transitive entries of the catalog, failed ones
     included.
@@ -540,20 +542,11 @@ class CatalogTable:
 
     degree: int
     total: int
-    labels_fpf: tuple[str, ...] = ()
-    labels_two_transitive: tuple[str, ...] = ()
-    labels_star_not_2trans: tuple[str, ...] = ()
-    labels_starstar_not_star: tuple[str, ...] = ()
+    columns: dict[str, tuple[str, ...]]
     failures: tuple[tuple[str, str], ...] = ()
 
     def row(self) -> tuple[int, int, int, int, int]:
-        return (
-            self.degree,
-            len(self.labels_fpf),
-            len(self.labels_two_transitive),
-            len(self.labels_star_not_2trans),
-            len(self.labels_starstar_not_star),
-        )
+        return (self.degree, *(len(labels) for labels in self.columns.values()))
 
     def render(self) -> str:
         _, fpf, two_trans, star, starstar = self.row()
@@ -561,8 +554,8 @@ class CatalogTable:
             f"degree {self.degree}: {self.total} transitive groups in catalog",
             "  n  (1)fpf  (2)2-trans  (3)star-only  (4)starstar-only",
             f"{self.degree:>3}  {fpf:>5}  {two_trans:>9}  {star:>11}  {starstar:>15}",
-            f"  (3) groups: {', '.join(self.labels_star_not_2trans) or '-'}",
-            f"  (4) groups: {', '.join(self.labels_starstar_not_star) or '-'}",
+            f"  (3) groups: {', '.join(self.columns['star_not_2transitive']) or '-'}",
+            f"  (4) groups: {', '.join(self.columns['starstar_not_star']) or '-'}",
         ]
         for label, err in self.failures:
             lines.append(f"  FAILED {label}: {err}")
@@ -585,8 +578,8 @@ def classify_catalog(catalog: Sequence[GroupDesc]) -> CatalogTable:
     degs = {g.degree for g in entries}
     if len(degs) > 1:
         raise DimensionMismatch(f"mixed degrees in catalog: {sorted(degs)}")
-    deg = entries[0].degree
-    cols: dict[str, list[str]] = {"fpf": [], "2t": [], "star": [], "ss": []}
+    names = ("fpf", "two_transitive", "star_not_2transitive", "starstar_not_star")
+    columns: dict[str, list[str]] = {name: [] for name in names}
     failures = []
     intransitive = 0
     for g in entries:
@@ -599,21 +592,18 @@ def classify_catalog(catalog: Sequence[GroupDesc]) -> CatalogTable:
             failures.append((g.label, "not transitive"))
             intransitive += 1
             continue
-        if a.has_fpf_involution:
-            cols["fpf"].append(g.label)
+        if a.fpf_classes:
+            columns["fpf"].append(g.label)
             if a.is_two_transitive:
-                cols["2t"].append(g.label)
+                columns["two_transitive"].append(g.label)
             if a.has_star and not a.is_two_transitive:
-                cols["star"].append(g.label)
+                columns["star_not_2transitive"].append(g.label)
             if a.has_starstar and not a.has_star:
-                cols["ss"].append(g.label)
+                columns["starstar_not_star"].append(g.label)
     return CatalogTable(
-        degree=deg,
+        degree=entries[0].degree,
         total=len(entries) - intransitive,
-        labels_fpf=tuple(cols["fpf"]),
-        labels_two_transitive=tuple(cols["2t"]),
-        labels_star_not_2trans=tuple(cols["star"]),
-        labels_starstar_not_star=tuple(cols["ss"]),
+        columns={name: tuple(labels) for name, labels in columns.items()},
         failures=tuple(failures),
     )
 

@@ -88,6 +88,16 @@ CASES = {
     "groups-char-number-s6": [
         "groups", "char-number", "--gens", "(1 2 3 4 5 6),(1 2)", "--inv", "(1 2)(3 4)(5 6)", "--degree", "6",
     ],
+    # c is defined only for a transitive group: each of these exits 2 and names transitivity
+    "groups-char-number-intransitive": [
+        "groups", "char-number", "--gens", "(1 2)(3 4)", "--inv", "(1 2)(3 4)",
+    ],
+    "field-obstruct-intransitive": [
+        "field", "obstruct", "--minpoly=t^6+t+1", "--galois-gens=(1 2)(3 4)(5 6),(1 3)",
+    ],
+    "field-obstruct-intransitive-tau": [
+        "field", "obstruct", "--minpoly=t^6+t+1", "--galois-gens=(1 2)(3 4)(5 6)",
+    ],
 }
 
 

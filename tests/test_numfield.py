@@ -29,7 +29,7 @@ from ratsos.numfield import (
 from ratsos.permgroup import GroupDesc, Perm, compose, invert
 from ratsos.poly import Poly, UniPoly
 from ratsos.resultants import resultant
-from ratsos.sturm import sturm_chain
+from ratsos.sturm import count_real_roots, sturm_chain
 
 U = UniPoly.parse
 x1 = Poly.variable(1, 3)
@@ -44,7 +44,7 @@ def squarefree(m: UniPoly) -> bool:
 def test_isolate_t2_plus_1():
     rs = isolate_roots(U("t^2+1"))
     assert rs.degree == 2
-    assert rs.totally_imaginary
+    assert count_real_roots(rs.chain) == 0
     assert rs.pairing == Perm.parse("(1 2)")
     lo = rs.boxes[0]  # sorted: -i first
     assert lo.im.hi < 0 and rs.boxes[1].im.lo > 0
@@ -54,7 +54,7 @@ def test_isolate_t2_plus_1():
 
 def test_isolate_t4_plus_2():
     rs = isolate_roots(U("t^4+2"))
-    assert rs.totally_imaginary
+    assert count_real_roots(rs.chain) == 0
     # roots 2^(1/4) e^(i pi/4), ... sorted by (re, im):
     # idx 0,1 have re < 0 (args 5pi/4, 3pi/4), idx 2,3 re > 0 (7pi/4, pi/4)
     mag = 2 ** 0.25 / 2 ** 0.5
@@ -67,7 +67,7 @@ def test_isolate_t4_plus_2():
 
 def test_isolate_real_roots_flagged():
     rs = isolate_roots(U("t^4-t-1"))
-    assert not rs.totally_imaginary
+    assert count_real_roots(rs.chain) == 2
     fixed = rs.pairing.fixed_points()
     assert len(fixed) == 2  # two real roots stay put under conjugation
     for i in fixed:
@@ -365,7 +365,7 @@ def test_obstruction_not_totally_imaginary():
 def test_pairing_boxes_mirror_each_other():
     for poly in ("t^2+1", "t^4+2", "t^4+t+1", "t^6+t^3+3"):
         rs = isolate_roots(U(poly))
-        assert rs.totally_imaginary
+        assert count_real_roots(rs.chain) == 0
         assert rs.pairing.is_involution() and rs.pairing.is_fixed_point_free()
         for i, box in enumerate(rs.boxes):
             j = rs.pairing.images[i]

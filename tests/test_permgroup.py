@@ -1,9 +1,11 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ratsos import permgroup
+from ratsos.cli import EXIT_INCONCLUSIVE, EXIT_OK, run
 from ratsos.errors import CheckFailed, HasFixedPoint, NotInvolution, OrderExceeded, ParseError
 from ratsos.permgroup import (
     GroupDesc,
@@ -178,7 +180,7 @@ def test_char_number_invariants():
 def test_classify_d4():
     a = classify(D4)
     assert a.is_transitive and not a.is_two_transitive
-    assert a.has_fpf_involution
+    assert a.fpf_classes
     assert sorted(k.c for k in a.fpf_classes) == [1, 2]
     assert not a.has_star and not a.has_starstar
     assert a.order == 8
@@ -188,7 +190,7 @@ def test_classify_s4_and_c6():
     a = classify(S4)
     assert a.is_two_transitive and a.has_star and a.has_starstar
     a = classify(C6)
-    assert a.has_fpf_involution
+    assert a.fpf_classes
     assert [k.c for k in a.fpf_classes] == [1]
     assert not a.has_starstar
 
@@ -214,7 +216,7 @@ def test_bundled_degree6_table_and_labels():
     catalog = load_bundled_catalog(6)
     table = classify_catalog(catalog)
     assert table.row() == (6, 11, 2, 2, 0)
-    assert sorted(table.labels_star_not_2trans) == ["6T11", "6T8"]
+    assert sorted(table.columns["star_not_2transitive"]) == ["6T11", "6T8"]
 
 
 def test_classify_catalog_lets_a_bug_propagate(monkeypatch):
@@ -315,8 +317,8 @@ def test_chain_matches_the_closure_on_the_bundled_catalogs(degree):
 
 
 @st.composite
-def generator_sets(draw):
-    n = draw(st.integers(1, 7))
+def generator_sets(draw, max_degree=7):
+    n = draw(st.integers(1, max_degree))
     gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
     return GroupDesc(n, tuple(Perm(g) for g in gens))
 
@@ -341,6 +343,44 @@ def test_classify_reads_transitivity_off_the_chain(group):
     assert a.is_transitive or not a.fpf_classes  # c is defined only for a transitive group
     assert a.is_two_transitive == two_transitive_by_closure(group)
     assert a.order == len(closure(group))
+
+
+def check_char_number_matches_classify(group):
+    """``groups char-number`` prints c, (*) and (**) of every class representative
+    as ``groups classify`` prints them, and exits 2 with its lines on an
+    intransitive group."""
+    gens = ["--gens", ",".join(str(g) for g in group.generators), "--degree", str(group.degree)]
+    classified = run(["groups", "classify", *gens])
+    lines = classified.report.splitlines()
+    if classified.exit_code == EXIT_INCONCLUSIVE:
+        assert lines[1] == "transitive: False"
+        fpf = [t for t in map(Perm, closure(group)) if t.is_involution() and t.is_fixed_point_free()]
+        for t in sorted(fpf, key=str)[:3]:
+            res = run(["groups", "char-number", *gens, "--inv", str(t)])
+            assert (res.exit_code, res.report) == (EXIT_INCONCLUSIVE, classified.report)
+        return
+    assert classified.exit_code == EXIT_OK
+    classes = lines[4:]
+    assert lines[3] == f"fpf involution classes: {len(classes)}"
+    for line in classes:
+        rep, c, conditions = re.fullmatch(r"  t = (.+): c = (\d+), (.+)", line).groups()
+        res = run(["groups", "char-number", *gens, "--inv", rep])
+        assert (res.exit_code, res.report) == (EXIT_OK, f"c={c}, {conditions}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets(max_degree=8))
+@example(G("(1 2)(3 4)"))
+@example(G("(1 2)(3 4)(5 6),(1 3)"))
+@example(G("(2 3)(5 6),(1 4 5 6)"))
+def test_char_number_matches_classify_on_random_generators(group):
+    check_char_number_matches_classify(group)
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8])
+def test_char_number_matches_classify_on_the_bundled_catalogs(degree):
+    for group in load_bundled_catalog(degree):
+        check_char_number_matches_classify(group)
 
 
 def test_chain_of_the_trivial_group():

@@ -30,23 +30,26 @@ def test_library_has_no_assert_statements():
 TEST_REFERENCE_HELPERS = {
     "demo_kernel_cubics": "the paper's kernel cubics, expected by the boundary and CLI tests",
     "monomial": "the shifted monomials of the test-local Hilbert-function references",
+    "evaluate": "Poly.evaluate, the exact oracle of the boundary and norm-form value tests",
 }
 
 
-def _mentions(tree) -> Counter:
+def _mentions(tree, strings_only: bool = False) -> Counter:
     """How often ``tree`` names each identifier, by kind.
 
     ``attr`` counts attribute accesses and equal string constants (the
     benchmark looks functions up by name); ``name`` counts bare names and
     imports.  A method is named by the first kind, a function or class by
-    either.
+    either.  ``strings_only`` counts string constants alone.
     """
     counts = Counter()
     for sub in ast.walk(tree):
-        if isinstance(sub, ast.Attribute):
-            counts["attr", sub.attr] += 1
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             counts["attr", sub.value] += 1
+        elif strings_only:
+            continue
+        elif isinstance(sub, ast.Attribute):
+            counts["attr", sub.attr] += 1
         elif isinstance(sub, ast.Name):
             counts["name", sub.id] += 1
         elif isinstance(sub, ast.alias):
@@ -55,14 +58,17 @@ def _mentions(tree) -> Counter:
 
 
 def test_every_library_definition_has_a_caller():
-    # callers: the library (its __init__ re-exports aside), scripts/ and perfbench/, not tests
+    # callers: the library (its __init__ re-exports aside), scripts/ and perfbench/, not tests;
+    # perfbench/ reaches the library only through cli.run and its LAYERS names, so only its
+    # string constants count (its own helpers, such as exact.evaluate, share library names)
     library = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     caller_paths = [path for path in library if path.name != "__init__.py"]
     caller_paths += sorted(SCRIPTS.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     assert ROOT / "perfbench" / "spans.py" in caller_paths
     mentions = Counter()
     for path in caller_paths:
-        mentions += _mentions(library.get(path) or ast.parse(path.read_text()))
+        tree = library.get(path) or ast.parse(path.read_text())
+        mentions += _mentions(tree, strings_only=path.parent.name == "perfbench")
     unnamed = []
     for tree in library.values():
         for parent in ast.walk(tree):

@@ -125,6 +125,22 @@ def test_groups_classify_stops_at_the_chain_of_an_intransitive_group(monkeypatch
     assert len(closures) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["groups", "char-number", "--gens", "(1 2)(3 4)", "--inv", "(1 2)(3 4)"],
+        ["field", "obstruct", "--minpoly=t^6+t+1", "--galois-gens=(1 2)(3 4)(5 6),(1 3)"],
+    ],
+    ids=["char-number", "obstruct"],
+)
+def test_an_intransitive_group_stops_at_its_chain(monkeypatch, argv):
+    enumerations = count_calls(monkeypatch, permgroup, "enumerate_group")
+    closures = count_calls(monkeypatch, permgroup, "char_number")
+    chains = count_method_calls(monkeypatch, permgroup.GroupDesc, "chain")
+    assert run(argv).exit_code == EXIT_INCONCLUSIVE
+    assert (len(chains), len(enumerations), len(closures)) == (1, 0, 0)
+
+
 def test_a_supplied_quartic_group_builds_one_chain_per_group(monkeypatch):
     # the supplied group's chain for its cycle types, the derived group's for those and membership
     chains = count_method_calls(monkeypatch, permgroup.GroupDesc, "chain")
