@@ -98,6 +98,19 @@ CASES = {
     "field-obstruct-intransitive-tau": [
         "field", "obstruct", "--minpoly=t^6+t+1", "--galois-gens=(1 2)(3 4)(5 6)",
     ],
+    # one report per remaining exit of the obstruction pipeline
+    "field-obstruct-odd-degree": ["field", "obstruct", "--minpoly=t^5+t+1"],
+    "field-obstruct-reducible": ["field", "obstruct", "--minpoly=t^4+4"],
+    "field-obstruct-supplied-refuted": [
+        "field", "obstruct", "--minpoly=t^4+2", "--galois-gens=(1 2 3 4),(1 2)",
+    ],
+    "field-obstruct-tau-not-in-group": [
+        "field", "obstruct", "--minpoly=t^6+t+1", "--galois-gens=(1 2 3 4 5 6)",
+    ],
+    "field-obstruct-inconclusive": ["field", "obstruct", "--minpoly=t^4+t+1", "--linform=1;0;0"],
+    "field-obstruct-d4": ["field", "obstruct", "--minpoly=t^4+2"],
+    "field-galois-a4": ["field", "galois", "--minpoly=t^4+8*t+12"],
+    "field-galois-v4": ["field", "galois", "--minpoly=t^4+1"],
 }
 
 
