@@ -5,7 +5,12 @@ Exit codes: 0 = certified/success, 1 = refuted/negative verdict,
 of the obstruction method (exit 0); one that rests on a Galois group from
 ``--galois-gens`` of degree > 4 is conditional and exits 2 (a supplied
 quartic group is checked against the derived one).  Negative verdicts about
-the inputs (alpha(f) != 0, an indefinite Gram matrix) map to exit 1.
+the inputs map to exit 1: alpha(f) != 0, squares that expand to another form
+(``gram verify``), a form with no PSD Gram matrix or outside the span of
+the basis products (``gram extract-q``), and two Gram points that are equal
+or have different spans (``gram shrink``).  ``gram shrink`` on an input
+that is not PSD or on two points of different forms is an input error
+(exit 3), as is a malformed file.
 Reports embed every intermediate exact value so they can be re-verified
 independently.
 """

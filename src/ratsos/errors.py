@@ -66,6 +66,10 @@ class NotInvolution(RatsosError):
     pass
 
 
+class NotTransitive(RatsosError):
+    """The characteristic number is defined only for a transitive group."""
+
+
 class HasFixedPoint(RatsosError):
     pass
 

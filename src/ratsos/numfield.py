@@ -31,7 +31,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .intervals import Box, Interval, det3_box, eval_unipoly_box
-from .permgroup import FpfClassInfo, GroupDesc, Perm, StabChain, char_number
+from .permgroup import FpfClassInfo, GroupDesc, Perm, StabChain, char_number, parse_generators
 from .poly import Poly, UniPoly
 from .resultants import pencil_det
 from .sturm import count_real_roots, rational_roots, sturm_chain
@@ -176,49 +176,35 @@ def _try_isolate(m: UniPoly, n_real: int, prec: int):
             im = _mpf_to_fraction(mpmath.im(z))
             rad = _candidate_radius(m, re, im)
             data.append((re, im, rad))
-    # the n_real approximations closest to the axis are the real candidates
-    order = sorted(range(n), key=lambda i: (abs(data[i][1]), i))
-    real_idx = set(order[:n_real])
-    boxes = []
+    # the n_real approximations closest to the axis are the real candidates,
+    # boxed symmetrically about the axis so that each still contains its disc
+    real_idx = set(sorted(range(n), key=lambda i: (abs(data[i][1]), i))[:n_real])
+    candidates = []
     for i, (re, im, rad) in enumerate(data):
-        if i in real_idx:
-            # symmetric about the axis and still containing the disc
-            boxes.append(Box(Interval.around(re, rad), Interval.around(0, rad + abs(im))))
-        else:
-            boxes.append(Box.around(re, im, rad))
+        real = i in real_idx
+        box = Box(Interval.around(re, rad), Interval.around(0, rad + abs(im))) if real else Box.around(re, im, rad)
+        candidates.append((box, real))
+    candidates.sort(key=lambda cand: (cand[0].re.lo, cand[0].im.lo))  # deterministic order by corner
+    boxes = [box for box, _ in candidates]
     # disjointness (strict: touching edges force a refinement)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if boxes[i].overlaps(boxes[j]):
-                return None
-    # non-real boxes must avoid the axis
-    for i in range(n):
-        if i in real_idx:
+    if any(a.overlaps(b) for a, b in combinations(boxes, 2)):
+        return None
+    # conjugation pairing: a non-real box avoids the axis and has exactly one mirror partner
+    pairing = []
+    for i, (box, real) in enumerate(candidates):
+        if real:
+            pairing.append(i)
             continue
-        if not (boxes[i].strictly_above_axis() or boxes[i].strictly_below_axis()):
+        if not (box.strictly_above_axis() or box.strictly_below_axis()):
             return None
-    # conjugation pairing via mirror overlap (exactly one partner each)
-    pairing = [None] * n
-    for i in range(n):
-        if i in real_idx:
-            pairing[i] = i
-            continue
-        mirror = boxes[i].conjugate()
-        partners = [j for j in range(n) if boxes[j].overlaps(mirror)]
+        mirror = box.conjugate()
+        partners = [j for j, other in enumerate(boxes) if other.overlaps(mirror)]
         if len(partners) != 1 or partners[0] == i:
             return None
-        pairing[i] = partners[0]
-    for i in range(n):
-        if pairing[pairing[i]] != i:
-            return None
-    # deterministic ordering by box corner
-    perm = sorted(range(n), key=lambda i: (boxes[i].re.lo, boxes[i].im.lo))
-    inv = [0] * n
-    for new, old in enumerate(perm):
-        inv[old] = new
-    boxes_sorted = [boxes[old] for old in perm]
-    pairing_sorted = [inv[pairing[old]] for old in perm]
-    return boxes_sorted, pairing_sorted
+        pairing.append(partners[0])
+    if any(pairing[j] != i for i, j in enumerate(pairing)):
+        return None
+    return boxes, pairing
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +302,7 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
 
 
 def _depress_quartic(m: UniPoly) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(shift, p, q, r) with m(t) = (t + shift)^4 + p(...)... i.e. roots move by +shift."""
+    """(shift, p, q, r): the roots of m plus shift are those of y^4 + p y^2 + q y + r."""
     a3, a2, a1, a0 = m[3], m[2], m[1], m[0]
     p = a2 - 3 * a3**2 / 8
     q = a1 - a3 * a2 / 2 + a3**3 / 8
@@ -351,6 +337,17 @@ class QuarticGalois:
     discriminant: Fraction
 
 
+# generators on the root indices; {0} {1} | {2} {3} is the root pairing that
+# the rational resolvent root of D4 and C4 picks out
+_QUARTIC_GENERATORS = {
+    "S4": "(1 2 3 4),(1 2)",
+    "A4": "(1 2 3),(2 3 4)",
+    "V4": "(1 2)(3 4),(1 3)(2 4)",
+    "D4": "({0} {1}),({0} {2})({1} {3})",
+    "C4": "({0} {2} {1} {3})",
+}
+
+
 def quartic_galois(m: UniPoly, chain: Sequence = ()) -> QuarticGalois:
     """Galois group of an irreducible quartic via the resolvent cubic.
 
@@ -364,7 +361,7 @@ def quartic_galois(m: UniPoly, chain: Sequence = ()) -> QuarticGalois:
     if m.degree() != 4:
         raise DegreeTooSmall("quartic Galois analysis needs degree exactly 4")
     m = m.monic()
-    _, p, q, r = _depress_quartic(m)
+    shift, p, q, r = _depress_quartic(m)
     resolvent = UniPoly([4 * p * r - q * q, -4 * r, -p, Fraction(1)])
     # the resolvent roots x1x2 + x3x4, ... differ pairwise by (xa - xb)(xc - xd),
     # so the discriminant of the cubic y^3 + b y^2 + c y + d is disc(m)
@@ -377,51 +374,36 @@ def quartic_galois(m: UniPoly, chain: Sequence = ()) -> QuarticGalois:
     if _quartic_reducible(m, chain, p, q, r, roots):
         raise Reducible(f"{m} has a proper rational factor")
     rs = isolate_roots(m, chain=chain)
-    if len(roots) == 0:
+    pairing = (0, 1, 2, 3)
+    if not roots:
         label = "A4" if _rational_sqrt(disc) is not None else "S4"
-        gens = {
-            "S4": ("(1 2 3 4)", "(1 2)"),
-            "A4": ("(1 2 3)", "(2 3 4)"),
-        }[label]
-        group = GroupDesc(4, tuple(Perm.parse(g, 4) for g in gens), label)
-        return QuarticGalois(group, rs, resolvent, disc)
-    if len(roots) == 3:
-        group = GroupDesc(4, (Perm.parse("(1 2)(3 4)"), Perm.parse("(1 3)(2 4)")), "V4")
-        return QuarticGalois(group, rs, resolvent, disc)
-    if len(roots) != 1:
+    elif len(roots) == 3:
+        label = "V4"
+    elif len(roots) == 1:
+        y0 = roots[0]
+        is_c4 = any(e != 0 and _rational_sqrt(e * disc) is not None for e in (y0 - p, y0 * y0 - 4 * r))
+        label = "C4" if is_c4 else "D4"
+        pairing = _identify_pairing(rs, shift, y0)
+    else:
         raise CheckFailed(
             f"resolvent cubic {resolvent} of a squarefree quartic has {len(roots)} rational roots"
         )
-    y0 = roots[0]
-    e1 = y0 - p
-    e2 = y0 * y0 - 4 * r
-    is_c4 = any(e != 0 and _rational_sqrt(e * disc) is not None for e in (e1, e2))
-    label = "C4" if is_c4 else "D4"
-    pairing = _identify_pairing(rs, y0)
-    (a, b), (c, d) = pairing
-    if label == "D4":
-        gens = (
-            Perm.from_cycles([(a + 1, b + 1)], 4),
-            Perm.from_cycles([(a + 1, c + 1), (b + 1, d + 1)], 4),
-        )
-    else:
-        gens = (Perm.from_cycles([(a + 1, c + 1, b + 1, d + 1)], 4),)
-    group = GroupDesc(4, gens, label)
-    return QuarticGalois(group, rs, resolvent, disc)
+    gens = parse_generators(_QUARTIC_GENERATORS[label].format(*(i + 1 for i in pairing)), 4)
+    return QuarticGalois(GroupDesc(4, gens, label), rs, resolvent, disc)
 
 
-def _identify_pairing(rs: RootSystem, y0: Fraction):
-    """Which root pairing {{a,b},{c,d}} has b_a b_b + b_c b_d = y0 (depressed roots)."""
-    shift_box = Box.point(_depress_quartic(rs.minpoly)[0])
-    pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+def _identify_pairing(rs: RootSystem, shift: Fraction, y0: Fraction) -> tuple[int, int, int, int]:
+    """The pairing (a, b, c, d) of root indices with y_a y_b + y_c y_d = y0,
+    where y = root + shift are the roots of the depressed quartic."""
+    shift_box = Box.point(shift)
+    pairings = [(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)]
     while True:
-        depressed = [b + shift_box for b in rs.boxes]
+        depressed = [box + shift_box for box in rs.boxes]
         hits = []
-        for pairing in pairings:
-            (a, b), (c, d) = pairing
+        for a, b, c, d in pairings:
             val = depressed[a] * depressed[b] + depressed[c] * depressed[d]
             if val.re.contains(y0) and val.im.contains_zero():
-                hits.append(pairing)
+                hits.append((a, b, c, d))
         if len(hits) == 1:
             return hits[0]
         try:
@@ -456,8 +438,11 @@ class ObstructionCert:
     and general-position checks all pass and c >= d + 1 (condition (**))
     for the derived quartic Galois group; for a supplied group of degree > 4
     it is CONDITIONAL_NOT_Q_SOS instead.
-    ``precision_bits`` is that of the isolated roots, None when the
-    certificate stops before any root is isolated.
+    ``precision_bits`` is that of the isolated roots.  It is set as soon as
+    they are isolated: on the quartic path when ``quartic_galois`` returns,
+    before the supplied group is compared; otherwise after the squarefree
+    and real-root checks.  It stays None when the certificate stops before
+    any root is isolated.
     """
 
     minpoly: str
@@ -510,106 +495,93 @@ def obstruction_check(
     Higher degrees require ``group`` as input, acting on the root indices
     of ``isolate_roots(m)``; it is an assumption there, so the most it
     supports is CONDITIONAL_NOT_Q_SOS, and it is checked transitive before
-    anything else, since c is defined only for a transitive group.  tau is
-    never supplied.  One
-    Sturm chain of m serves the squarefree and real-root checks and the
-    isolation, and the roots of m are isolated once (by ``quartic_galois``
-    or here): tau is their certified conjugation pairing, and the same
-    boxes feed general position.  The certificate is monotone: an
-    inconclusive or failing check always yields NO_OBSTRUCTION
-    with the check named.
+    anything else, since c is defined only for a transitive group.  A
+    supplied group on other than deg(m) points raises DimensionMismatch.
+    tau is never supplied.  One Sturm chain of m serves the squarefree and
+    real-root checks and the isolation, and the roots of m are isolated
+    once (by ``quartic_galois`` or here): tau is their certified
+    conjugation pairing, and the same boxes feed general position.  The
+    certificate is monotone: an inconclusive or failing check always
+    yields NO_OBSTRUCTION with the check named.
     """
     if not m or m.degree() < 4:
         raise DegreeTooSmall(f"need degree 2d >= 4, got {m.degree() if m else 'zero polynomial'}")
-    if lin is None:
-        lin = canonical_linear_form()
-    lin = tuple(lin)
     two_d = m.degree()
+    if group is not None and group.degree != two_d:
+        raise DimensionMismatch(f"supplied group acts on {group.degree} points, not on the {two_d} roots")
     d = two_d // 2
     checks: list[CheckRecord] = []
-    rs: RootSystem | None = None
+    facts: dict = {}  # certificate fields, each set as soon as it is known
 
-    def bail(conclusion=Conclusion.NO_OBSTRUCTION, **extra):
-        return ObstructionCert(
-            minpoly=str(m),
-            degree=two_d,
-            d=d,
-            conclusion=conclusion,
-            checks=tuple(checks),
-            precision_bits=rs.precision_bits if rs else None,
-            **extra,
-        )
+    def check(name: str, ok: bool, detail: str) -> bool:
+        checks.append(CheckRecord(name, "pass" if ok else "fail", detail))
+        return ok
 
-    if two_d % 2 == 1:
-        checks.append(CheckRecord("even degree", "fail", f"degree {two_d} is odd"))
-        return bail()
+    def done(conclusion=Conclusion.NO_OBSTRUCTION) -> ObstructionCert:
+        return ObstructionCert(str(m), two_d, d, conclusion, tuple(checks), **facts)
+
+    if two_d % 2 == 1:  # recorded only when it fails
+        check("even degree", False, f"degree {two_d} is odd")
+        return done()
     if not m.is_monic():
         raise NotMonic("minimal polynomial must be monic")
     if two_d > 4 and group is not None:
         stab = group.chain()
-        transitive = stab.is_transitive
-        detail = f"{'one orbit' if transitive else 'several orbits'} on the {two_d} root indices"
-        checks.append(CheckRecord("supplied group transitive", "pass" if transitive else "fail", detail))
-        if not transitive:
-            return bail()
+        orbits = "one orbit" if stab.is_transitive else "several orbits"
+        if not check("supplied group transitive", stab.is_transitive, f"{orbits} on the {two_d} root indices"):
+            return done()
     chain = sturm_chain(m)
-    if chain[0].degree() != two_d:
-        checks.append(CheckRecord("squarefree", "fail", "gcd(m, m') is nonconstant"))
-        return bail()
-    checks.append(CheckRecord("squarefree", "pass", "gcd(m, m') constant"))
-
+    squarefree = chain[0].degree() == two_d
+    if not check("squarefree", squarefree, "gcd(m, m') constant" if squarefree else "gcd(m, m') is nonconstant"):
+        return done()
     n_real = count_real_roots(chain)
-    if n_real != 0:
-        checks.append(CheckRecord("totally imaginary", "fail", f"Sturm count {n_real} real roots"))
-        return bail()
-    checks.append(CheckRecord("totally imaginary", "pass", "Sturm count 0, exact"))
+    real_detail = f"Sturm count {n_real} real roots" if n_real else "Sturm count 0, exact"
+    if not check("totally imaginary", n_real == 0, real_detail):
+        return done()
 
     if two_d == 4:
         try:
             qg = quartic_galois(m, chain)
         except Reducible as exc:
-            checks.append(CheckRecord("irreducible", "fail", str(exc)))
-            return bail()
-        checks.append(CheckRecord("irreducible", "pass", "quartic screens"))
+            check("irreducible", False, str(exc))
+            return done()
         rs, proven, stab = qg.roots, Conclusion.NOT_Q_SOS, qg.group.chain()
+        facts["precision_bits"] = rs.precision_bits
+        check("irreducible", True, "quartic screens")
         if group is not None:
             # the multisets of cycle types separate the conjugacy classes of subgroups of S4
             conjugate = _cycle_types(group.chain()) == _cycle_types(stab)
             gens = ",".join(str(g) for g in group.generators)
             detail = f"supplied {gens} is {'' if conjugate else 'not '}conjugate to the derived {qg.group.label}"
-            checks.append(CheckRecord("supplied group", "pass" if conjugate else "fail", detail))
-            if not conjugate:
-                return bail()
+            if not check("supplied group", conjugate, detail):
+                return done()
         group = qg.group
     elif group is None:
         raise GaloisDataMissing("degree > 4 requires explicit Galois data")
     else:
         rs, proven = isolate_roots(m, chain=chain), Conclusion.CONDITIONAL_NOT_Q_SOS
+        facts["precision_bits"] = rs.precision_bits
     tau = rs.pairing
+    facts.update(tau=str(tau), group_label=group.label, group_order=stab.order)
 
-    if not tau.is_involution() or not tau.is_fixed_point_free():
-        checks.append(CheckRecord("tau fpf involution", "fail", str(tau)))
-        return bail(tau=str(tau), group_label=group.label)
-    checks.append(CheckRecord("tau fpf involution", "pass", str(tau)))
+    if not check("tau fpf involution", tau.is_involution() and tau.is_fixed_point_free(), str(tau)):
+        return done()
+    member = facts["membership_verified"] = tau.images in stab
+    member_detail = f"group order {stab.order}" if member else "tau not in the generated group"
+    if not check("tau in group", member, member_detail):
+        return done()
 
-    order = stab.order
-    if tau.images not in stab:
-        checks.append(CheckRecord("tau in group", "fail", "tau not in the generated group"))
-        return bail(tau=str(tau), group_label=group.label, group_order=order, membership_verified=False)
-    checks.append(CheckRecord("tau in group", "pass", f"group order {order}"))
-    known = {"tau": str(tau), "group_label": group.label, "group_order": order, "membership_verified": True}
-
-    gp = general_position(rs, lin)
+    gp = facts["general_position_verdict"] = general_position(rs, lin)
     if gp is GeneralPosition.INCONCLUSIVE:
         checks.append(CheckRecord("general position", "inconclusive", "interval refinement capped"))
-        return bail(general_position_verdict=gp, **known)
-    checks.append(CheckRecord("general position", "pass", gp.value))
+        return done()
+    check("general position", True, gp.value)
 
     info = FpfClassInfo(tau, char_number(group, tau))
-    detail = f"c = {info.c}, threshold d + 1 = {d + 1}"
-    checks.append(CheckRecord("condition (**)", "pass" if info.satisfies_starstar else "fail", detail))
-    conclusion = proven if info.satisfies_starstar else Conclusion.NO_OBSTRUCTION
-    return bail(conclusion, c=info.c, general_position_verdict=gp, **known)
+    facts["c"] = info.c
+    if not check("condition (**)", info.satisfies_starstar, f"c = {info.c}, threshold d + 1 = {d + 1}"):
+        return done()
+    return done(proven)
 
 
 def _cycle_types(chain: StabChain) -> list[tuple[int, ...]]:

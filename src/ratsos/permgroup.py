@@ -31,6 +31,7 @@ from .errors import (
     DimensionMismatch,
     HasFixedPoint,
     NotInvolution,
+    NotTransitive,
     OrderExceeded,
     ParseError,
     RatsosError,
@@ -459,7 +460,9 @@ def char_number(group: GroupDesc, t: Perm) -> int:
     Computed as the closure of the pairs {z, tz} under the generators,
     counting pairs through a base point; the count is checked to be the
     same at every base point.  Membership of t is the caller's to verify,
-    by sifting it through the group's stabilizer chain.
+    by sifting it through the group's stabilizer chain.  Transitivity is
+    checked here by the orbit of the first point, after the involution and
+    fixed-point checks, and its failure raises NotTransitive.
     """
     if t.degree != group.degree:
         raise ValueError("degree mismatch")
@@ -467,6 +470,8 @@ def char_number(group: GroupDesc, t: Perm) -> int:
         raise NotInvolution(f"{t} is not an involution")
     if not t.is_fixed_point_free():
         raise HasFixedPoint(f"{t} fixes points {[p + 1 for p in t.fixed_points()]}")
+    if len(orbit_closure(group.generators, [0], lambda g, x: g.images[x])) != group.degree:
+        raise NotTransitive("the group has several orbits; c is defined only for a transitive group")
     pairs = _pair_closure(group, t)
     counts = [0] * group.degree
     for a, b in pairs:

@@ -499,6 +499,25 @@ def test_gram_shrink_spans_differ(tmp_path):
     assert "SpansDiffer" in res.report
 
 
+@pytest.mark.parametrize(
+    "g2, report",
+    [
+        # x1^4 + x2^4 at a = 1 of [[1, 0, a], [0, -2a, 0], [a, 0, 1]]: indefinite
+        ("1 0 1\n0 -2 0\n1 0 1", "NotPsd: both inputs must be PSD Gram points"),
+        # x1^4 + 2 x2^4 is another form
+        ("1 0 0\n0 0 0\n0 0 2", "DifferentForms: Gram points represent different forms"),
+    ],
+    ids=["not-psd", "different-forms"],
+)
+def test_gram_shrink_rejects_unusable_inputs_as_input_errors(tmp_path, g2, report):
+    f1 = tmp_path / "g1.txt"
+    f2 = tmp_path / "g2.txt"
+    f1.write_text("gram n=2 d=2\n1 0 0\n0 0 0\n0 0 1\n")
+    f2.write_text(f"gram n=2 d=2\n{g2}\n")
+    res = run(["gram", "shrink", "--g1", str(f1), "--g2", str(f2)])
+    assert (res.exit_code, res.report) == (EXIT_INPUT, report)
+
+
 def test_reports_deterministic():
     a = run(["boundary", "demo"])
     b = run(["boundary", "demo"])

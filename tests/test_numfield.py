@@ -10,6 +10,7 @@ from ratsos import numfield
 from ratsos.errors import (
     CheckFailed,
     DegreeTooSmall,
+    DimensionMismatch,
     GaloisDataMissing,
     NotMonic,
     NotSquarefree,
@@ -301,6 +302,57 @@ def test_obstruction_d4_quartic_no_obstruction():
     assert cert.conclusion is Conclusion.NO_OBSTRUCTION
     assert cert.c == 2  # the dihedral sharpness value c = d
     assert cert.group_label == "D4"
+
+
+LABELLED_QUARTICS = {
+    "S4": ([1, 1, 0, 0, 1], 24),
+    "A4": ([12, 8, 0, 0, 1], 12),
+    "D4": ([2, 0, 0, 0, 1], 8),
+    "C4": ([1, 1, 1, 1, 1], 4),
+    "V4": ([1, 0, 0, 0, 1], 4),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(LABELLED_QUARTICS)),
+    st.integers(-50, 50).filter(bool),
+    st.integers(-50, 50),
+)
+def test_quartic_labels_are_invariant_under_rational_substitution(label, q, k):
+    # q^4 m((t - k)/q) = sum_i a_i q^(4-i) (t - k)^i is monic and generates the same field
+    coeffs, order = LABELLED_QUARTICS[label]
+    image = UniPoly()
+    for i, a in enumerate(coeffs):
+        image = image + UniPoly([a * q ** (4 - i)]) * UniPoly([-k, 1]) ** i
+    qg = quartic_galois(image)
+    chain = qg.group.chain()
+    assert qg.group.label == label
+    assert chain.order == order
+    # complex conjugation lies in every Galois group
+    assert qg.roots.pairing.images in chain
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=3, max_size=9))
+def test_isolated_boxes_are_sorted_disjoint_and_paired_by_conjugation(coeffs):
+    m = UniPoly(coeffs)
+    assume(m.degree() >= 2 and squarefree(m))
+    rs = isolate_roots(m)
+    corners = [(box.re.lo, box.im.lo) for box in rs.boxes]
+    assert corners == sorted(corners)
+    assert not any(rs.boxes[i].overlaps(rs.boxes[j]) for i in range(rs.degree) for j in range(i + 1, rs.degree))
+    pairing = rs.pairing.images
+    assert compose(pairing, pairing) == tuple(range(rs.degree))  # an involution, or the identity
+    assert len(rs.pairing.fixed_points()) == count_real_roots(rs.chain)
+    for box, partner in zip(rs.boxes, pairing):
+        assert box.conjugate().overlaps(rs.boxes[partner])
+
+
+@pytest.mark.parametrize("m, gens", [("t^6+t+1", "(1 2 3 4 5 6 7 8)"), ("t^4+t+1", "(1 2 3 4 5 6)")])
+def test_obstruction_rejects_a_group_on_other_than_deg_m_points(m, gens):
+    with pytest.raises(DimensionMismatch):
+        obstruction_check(U(m), group=GroupDesc.from_text(gens))
 
 
 def test_obstruction_degree_too_small():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ratsos import permgroup
 from ratsos.cli import EXIT_INCONCLUSIVE, EXIT_OK, run
-from ratsos.errors import CheckFailed, HasFixedPoint, NotInvolution, OrderExceeded, ParseError
+from ratsos.errors import CheckFailed, HasFixedPoint, NotInvolution, NotTransitive, OrderExceeded, ParseError
 from ratsos.permgroup import (
     GroupDesc,
     Perm,
@@ -149,6 +149,8 @@ def test_char_number_errors():
         char_number(S4, Perm.parse("(1 2 3)", 4))
     with pytest.raises(HasFixedPoint):
         char_number(S4, Perm.parse("(1 2)", 4))
+    with pytest.raises(NotTransitive):
+        char_number(G("(1 2)(3 4)"), Perm.parse("(1 2)(3 4)"))
     # membership is the caller's to sift
     assert Perm.parse("(1 3)(2 4)").images not in G("(1 2)(3 4)").chain()
 
