@@ -111,6 +111,21 @@ CASES = {
     "field-obstruct-d4": ["field", "obstruct", "--minpoly=t^4+2"],
     "field-galois-a4": ["field", "galois", "--minpoly=t^4+8*t+12"],
     "field-galois-v4": ["field", "galois", "--minpoly=t^4+1"],
+    # verdicts about well-formed inputs: the tuple fails its relation, the
+    # form is interior, the two points are equal (each exit 1), and the
+    # involution fixes points (exit 3)
+    "boundary-construct-rejected": [
+        "boundary", "construct", "--points", _data("demo_points.txt"), "--tuple", "1,1,1,1,4,4,4,4,-3",
+    ],
+    "boundary-certify-interior": [
+        "boundary", "certify", "--form", "x1^6 + x2^6 + x3^6", "--functional", _data("demo_functional.txt"),
+    ],
+    "gram-shrink-equal": [
+        "gram", "shrink", "--g1", _data("shrink-rational-g1.txt"), "--g2", _data("shrink-rational-g1.txt"),
+    ],
+    "groups-char-number-fixed-point": [
+        "groups", "char-number", "--gens", "(1 2 3 4 5 6)", "--inv", "(1 2)", "--degree", "6",
+    ],
 }
 
 
