@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    DimensionMismatch,
     DuplicatePoint,
     HeterogeneousDegrees,
     LinearlyDependent,
@@ -45,7 +46,7 @@ class NinePointConfig:
 
     def __post_init__(self):
         if len(self.points) != 9:
-            raise ValueError(f"need exactly 9 points, got {len(self.points)}")
+            raise DimensionMismatch(f"need exactly 9 points, got {len(self.points)}")
         for p in self.points:
             if not any(p):
                 raise DuplicatePoint("zero vector is not a projective point")
@@ -66,8 +67,6 @@ class NinePointConfig:
             if len(parts) != 3:
                 raise ParseError(f"point line needs 3 coordinates: {line!r}")
             rows.append(tuple(parse_rational(p) for p in parts))
-        if len(rows) != 9:
-            raise ParseError(f"expected 9 point lines, got {len(rows)}")
         return cls(tuple(rows))
 
 
@@ -142,12 +141,12 @@ class WeightTuple:
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
         if len(self.a) != 9:
-            raise ValueError("need 9 weights")
+            raise DimensionMismatch(f"need 9 weights, got {len(self.a)}")
         if any(x == 0 for x in self.a):
-            raise ValueError("weights must be nonzero")
+            raise ParseError("weights must be nonzero")
         negatives = sum(1 for x in self.a if x < 0)
         if negatives != 1:
-            raise ValueError(f"need exactly one negative weight, got {negatives}")
+            raise ParseError(f"need exactly one negative weight, got {negatives}")
 
     @classmethod
     def parse(cls, text: str) -> "WeightTuple":
@@ -181,7 +180,7 @@ class LinearFunctional:
 
     def __post_init__(self):
         if len(self.coeffs) != len(SEXTICS):
-            raise ValueError(f"need {len(SEXTICS)} coefficients")
+            raise DimensionMismatch(f"need {len(SEXTICS)} coefficients, got {len(self.coeffs)}")
 
     def __call__(self, f: Poly) -> Fraction:
         if f.nvars != 3 or (f and not (f.is_homogeneous() and f.degree() == 6)):
@@ -197,10 +196,7 @@ class LinearFunctional:
         lines = [line for _, line in data_lines(text)]
         if not lines or not lines[0].startswith("functional"):
             raise ParseError("functional file must start with a 'functional n=3 2d=6' header")
-        vals = [parse_rational(v) for ln in lines[1:] for v in ln.split()]
-        if len(vals) != len(SEXTICS):
-            raise ParseError(f"expected {len(SEXTICS)} coefficients, got {len(vals)}")
-        return cls(tuple(vals))
+        return cls(tuple(parse_rational(v) for ln in lines[1:] for v in ln.split()))
 
 
 def functional_from_points(
@@ -210,7 +206,7 @@ def functional_from_points(
     pts = [tuple(Fraction(x) for x in p) for p in points]
     ws = [Fraction(w) for w in weights]
     if len(pts) != len(ws):
-        raise ValueError("points/weights length mismatch")
+        raise DimensionMismatch("points/weights length mismatch")
     coeffs = [Fraction(0)] * len(SEXTICS)
     for p, w in zip(pts, ws):
         v = _cubic_values(p)

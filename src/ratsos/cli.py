@@ -10,7 +10,11 @@ the inputs map to exit 1: alpha(f) != 0, squares that expand to another form
 the basis products (``gram extract-q``), and two Gram points that are equal
 or have different spans (``gram shrink``).  ``gram shrink`` on an input
 that is not PSD or on two points of different forms is an input error
-(exit 3), as is a malformed file.
+(exit 3), as is a malformed file.  Each check on outside input raises a
+named ``RatsosError`` where the input is parsed, and :func:`run` alone
+turns it, or a ``MemoryError``, into exit 3 with ``<ErrorType>: <message>``;
+only a file that cannot be read (or is not UTF-8) or written prints
+``input error: <message>``.
 Reports embed every intermediate exact value so they can be re-verified
 independently.
 """
@@ -33,6 +37,7 @@ from .errors import (
     NotPsd,
     NotQuadraticallyIndependent,
     NoSolution,
+    ParseError,
     RatsosError,
     SpansDiffer,
 )
@@ -65,7 +70,7 @@ class CommandResult:
 def _parse_linform(text: str) -> tuple[UniPoly, ...]:
     chunks = [c.strip() for c in text.split(";")]
     if not chunks or not all(chunks):
-        raise RatsosError(f"linear form needs ';'-separated entries, got {text!r}")
+        raise ParseError(f"linear form needs ';'-separated entries, got {text!r}")
     return tuple(UniPoly.parse(c) for c in chunks)
 
 
@@ -96,7 +101,7 @@ def _parse_gram_file(text: str) -> gr.GramPoint:
         header = dict(part.split("=") for part in lines[0].split()[1:]) if lines[0].startswith("gram") else {}
         nvars, d = int(header["n"]), int(header["d"])
     except (IndexError, KeyError, ValueError):
-        raise RatsosError("gram file must start with 'gram n=<vars> d=<half-degree>'") from None
+        raise ParseError("gram file must start with 'gram n=<vars> d=<half-degree>'") from None
     rows = [[parse_rational(v) for v in ln.split()] for ln in lines[1:]]
     return gr.GramPoint(nvars, d, SymMatrix.from_rows(rows))
 
@@ -260,11 +265,8 @@ def cmd_boundary(args) -> CommandResult:
         return CommandResult(code, report)
 
     if args.subcommand == "construct":
-        try:
-            points = bd.NinePointConfig.parse(Path(args.points).read_text())
-            tup = bd.WeightTuple.parse(args.tuple)
-        except (OSError, ValueError, RatsosError) as exc:
-            return CommandResult(EXIT_INPUT, f"input error: {exc}")
+        points = bd.NinePointConfig.parse(Path(args.points).read_text())
+        tup = bd.WeightTuple.parse(args.tuple)
         chain = bd.boundary_chain(points, tup)
         code, report = _render_chain(chain)
         if args.save_functional and chain.alpha is not None:
@@ -273,14 +275,9 @@ def cmd_boundary(args) -> CommandResult:
         return CommandResult(code, report)
 
     if args.subcommand == "certify":
-        try:
-            f = _read_poly_file(args.form, nvars=3)
-            alpha = bd.LinearFunctional.parse(Path(args.functional).read_text())
-            witness = None
-            if args.witness:
-                witness = _parse_gram_file(Path(args.witness).read_text())
-        except (OSError, ValueError, RatsosError) as exc:
-            return CommandResult(EXIT_INPUT, f"input error: {exc}")
+        f = _read_poly_file(args.form, nvars=3)
+        alpha = bd.LinearFunctional.parse(Path(args.functional).read_text())
+        witness = _parse_gram_file(Path(args.witness).read_text()) if args.witness else None
         cert = bd.boundary_cert(f, alpha, witness=witness)
         return CommandResult(*_certificates([], cert, bd.uniqueness_cert(cert)))
 
@@ -335,11 +332,8 @@ def cmd_gram(args) -> CommandResult:
         return CommandResult(EXIT_OK, "\n".join(lines))
 
     if args.subcommand == "shrink":
-        try:
-            g1 = _parse_gram_file(Path(args.g1).read_text())
-            g2 = _parse_gram_file(Path(args.g2).read_text())
-        except (OSError, ValueError, RatsosError) as exc:
-            return CommandResult(EXIT_INPUT, f"input error: {exc}")
+        g1 = _parse_gram_file(Path(args.g1).read_text())
+        g2 = _parse_gram_file(Path(args.g2).read_text())
         try:
             res = gr.shrink_span(g1, g2)
         except (SpansDiffer, EqualPoints) as exc:
@@ -449,10 +443,12 @@ def run(argv=None) -> CommandResult:
         return DISPATCH[args.command](args)
     except CheckFailed as exc:
         return CommandResult(EXIT_INCONCLUSIVE, f"{type(exc).__name__}: {exc}")
-    except OSError as exc:  # a missing input, or an output path that cannot be written
+    except (OSError, UnicodeDecodeError) as exc:  # a missing or undecodable input, or an unwritable output
         return CommandResult(EXIT_INPUT, f"input error: {exc}")
     except RatsosError as exc:
         return CommandResult(EXIT_INPUT, f"{type(exc).__name__}: {exc}")
+    except MemoryError:  # an input too large to hold, reported like any other bad input
+        return CommandResult(EXIT_INPUT, "MemoryError: the input needs more memory than is available")
 
 
 def main(argv=None):

@@ -115,7 +115,7 @@ class EqualPoints(RatsosError):
     pass
 
 
-class DifferentForms(RatsosError, ValueError):
+class DifferentForms(RatsosError):
     """Two Gram points represent different forms."""
 
 

@@ -19,6 +19,7 @@ from typing import Sequence
 from .errors import (
     CheckFailed,
     DifferentForms,
+    DimensionMismatch,
     EqualPoints,
     HeterogeneousDegrees,
     LinearlyDependent,
@@ -44,10 +45,18 @@ class GramPoint:
     matrix: SymMatrix
 
     def __post_init__(self):
-        if self.matrix.size != len(self.basis()):
-            raise ValueError(
-                f"matrix size {self.matrix.size} != basis size {len(self.basis())}"
-            )
+        n, d = self.nvars, self.half_degree
+        if n < 1 or d < 0:
+            raise DimensionMismatch(f"a Gram point needs n >= 1 and d >= 0, got n={n}, d={d}")
+        # len(self.basis()) is C(n+d-1, d): count it up, without listing the
+        # basis, only until it passes the matrix size
+        count, k = 1, min(d, n - 1)
+        for i in range(1, k + 1):
+            count = count * (n + d - 1 - k + i) // i  # C(n+d-1-k+i, i)
+            if count > self.matrix.size:
+                break
+        if count != self.matrix.size:
+            raise DimensionMismatch(f"matrix size {self.matrix.size} != basis size C({n + d - 1}, {d})")
 
     def basis(self):
         return monomials(self.nvars, self.half_degree)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from .errors import DimensionMismatch, NotPsd
+from .errors import DimensionMismatch, NotPsd, ParseError
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
@@ -184,11 +184,11 @@ class SymMatrix:
         n = len(self.rows)
         for row in self.rows:
             if len(row) != n:
-                raise ValueError("matrix is not square")
+                raise DimensionMismatch("matrix is not square")
         for i in range(n):
             for j in range(i):
                 if self.rows[i][j] != self.rows[j][i]:
-                    raise ValueError(f"matrix not symmetric at ({i},{j})")
+                    raise ParseError(f"matrix not symmetric at ({i},{j})")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "SymMatrix":

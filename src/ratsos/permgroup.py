@@ -84,9 +84,9 @@ class Perm:
         for cyc in cycles:
             for p in cyc:
                 if not 1 <= p <= degree:
-                    raise ValueError(f"point {p} outside 1..{degree}")
+                    raise ParseError(f"point {p} outside 1..{degree}")
                 if p in seen:
-                    raise ValueError(f"point {p} repeated across cycles")
+                    raise ParseError(f"point {p} repeated across cycles")
                 seen.add(p)
             for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
                 images[a - 1] = b - 1
@@ -119,10 +119,7 @@ class Perm:
             except ValueError as exc:
                 raise ParseError(f"bad cycle {chunk!r}") from exc
         deg = degree if degree is not None else max((p for c in cycles for p in c), default=1)
-        try:
-            return cls.from_cycles(cycles, deg)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        return cls.from_cycles(cycles, deg)
 
     @property
     def degree(self) -> int:
@@ -186,12 +183,12 @@ class GroupDesc:
 
     def __post_init__(self):
         if self.degree < 1:
-            raise ValueError("degree must be positive")
+            raise DimensionMismatch("degree must be positive")
         if not self.generators:
-            raise ValueError("need at least one generator")
+            raise ParseError("need at least one generator")
         for g in self.generators:
             if g.degree != self.degree:
-                raise ValueError("generator degree mismatch")
+                raise DimensionMismatch("generator degree mismatch")
 
     @classmethod
     def from_text(cls, gens_text: str, degree: int | None = None) -> "GroupDesc":
@@ -203,26 +200,12 @@ class GroupDesc:
 
 
 def parse_generators(text: str, degree: int | None = None) -> tuple[Perm, ...]:
-    """Parse a comma-separated generator list, e.g. ``(1 2 3 4),(1 3)``."""
-    chunks = []
-    depth = 0
-    current = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced parentheses in {text!r}")
-        if ch == "," and depth == 0:
-            chunks.append(current)
-            current = ""
-        else:
-            current += ch
-    if depth != 0:
-        raise ParseError(f"unbalanced parentheses in {text!r}")
-    chunks.append(current)
-    chunks = [c.strip() for c in chunks if c.strip()]
+    """Parse a comma-separated generator list, e.g. ``(1 2 3 4),(1 3)``.
+
+    The list splits at each comma outside a cycle; ``Perm.parse`` rejects a
+    chunk with an unbalanced parenthesis.
+    """
+    chunks = [c.strip() for c in re.split(r",(?![^()]*\))", text) if c.strip()]
     if not chunks:
         raise ParseError("no generators given")
     max_point = degree
@@ -465,11 +448,13 @@ def char_number(group: GroupDesc, t: Perm) -> int:
     fixed-point checks, and its failure raises NotTransitive.
     """
     if t.degree != group.degree:
-        raise ValueError("degree mismatch")
+        raise DimensionMismatch(f"{t} acts on {t.degree} points, the group on {group.degree}")
     if not t.is_involution():
         raise NotInvolution(f"{t} is not an involution")
     if not t.is_fixed_point_free():
-        raise HasFixedPoint(f"{t} fixes points {[p + 1 for p in t.fixed_points()]}")
+        fixed = [p + 1 for p in t.fixed_points()]
+        more = f" ... ({len(fixed)} in all)" if len(fixed) > 20 else ""
+        raise HasFixedPoint(f"{t} fixes points {fixed[:20]}{more}")
     if len(orbit_closure(group.generators, [0], lambda g, x: g.images[x])) != group.degree:
         raise NotTransitive("the group has several orbits; c is defined only for a transitive group")
     pairs = _pair_closure(group, t)

@@ -27,12 +27,14 @@ from ratsos.boundary import (
     uniqueness_cert,
 )
 from ratsos.errors import (
+    DimensionMismatch,
     DuplicatePoint,
     LinearlyDependent,
     MissingGramWitness,
     NotCayleyBacharach,
     NotPsd,
     NotQuadraticallyIndependent,
+    ParseError,
 )
 from ratsos.gram import SosRep, gram_from_squares
 from ratsos.linalg import SymMatrix, psd_check, rank, rref
@@ -58,7 +60,7 @@ def test_points_validation():
         rows = list(demo_points().points)
         rows[3] = (2, 2, 2)  # projectively equal to (1,1,1)
         NinePointConfig.from_rows(rows)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match="got 1"):
         NinePointConfig.from_rows([(1, 0, 0)])
 
 
@@ -103,10 +105,12 @@ def test_check_tuple():
 
 
 def test_weight_tuple_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="one negative weight"):
         WeightTuple((1,) * 9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="nonzero"):
         WeightTuple((0, 1, 1, 1, 1, 1, 1, 1, -1))
+    with pytest.raises(DimensionMismatch, match="got 8"):
+        WeightTuple((1,) * 7 + (-1,))
     assert WeightTuple.parse("1,1,1,1,4,4,4,4,-2") == demo_tuple()
 
 

@@ -2,12 +2,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ratsos import numfield, permgroup
+from ratsos import cli, numfield, permgroup
 from ratsos.boundary import demo_kernel_cubics, demo_points, demo_tuple, functional_from_tuple
 from ratsos.cli import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, run
 from ratsos.linalg import SymMatrix, psd_check, rank
@@ -516,6 +517,79 @@ def test_gram_shrink_rejects_unusable_inputs_as_input_errors(tmp_path, g2, repor
     f2.write_text(f"gram n=2 d=2\n{g2}\n")
     res = run(["gram", "shrink", "--g1", str(f1), "--g2", str(f2)])
     assert (res.exit_code, res.report) == (EXIT_INPUT, report)
+
+
+DEMO_POINTS_TEXT = (GOLDEN / "demo_points.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, files, error",
+    [
+        (["gram", "shrink", "--g1", "g.txt", "--g2", "g.txt"], {"g.txt": "gram n=0 d=1\n1"}, "DimensionMismatch"),
+        (["gram", "shrink", "--g1", "g.txt", "--g2", "g.txt"], {"g.txt": "gram n=2 d=-1\n1"}, "DimensionMismatch"),
+        (["gram", "shrink", "--g1", "g.txt", "--g2", "g.txt"], {"g.txt": "gram n=1 d=1\nx"}, "ParseError"),
+        # bases of 635,745,396 monomials and of C(2*10^7 - 1, 10^7), checked by their sizes alone
+        (["gram", "shrink", "--g1", "g.txt", "--g2", "g.txt"], {"g.txt": "gram n=30 d=10\n1"}, "DimensionMismatch"),
+        (["gram", "shrink", "--g1", "g.txt", "--g2", "g.txt"], {"g.txt": "gram n=10000000 d=10000000\n1"},
+         "DimensionMismatch"),
+        (["boundary", "certify", "--form", str(GOLDEN / "demo_sextic.txt"), "--functional", "alpha.txt"],
+         {"alpha.txt": "functional n=3 2d=6\n1 2 3"}, "DimensionMismatch"),
+        (["boundary", "construct", "--points", "pts.txt", "--tuple", "1,1,1,1,4,4,4,4,-2"],
+         {"pts.txt": "\n".join(DEMO_POINTS_TEXT.splitlines()[:8])}, "DimensionMismatch"),
+        (["boundary", "construct", "--points", "pts.txt", "--tuple", "1,1,1,1,4,4,4,4"],
+         {"pts.txt": DEMO_POINTS_TEXT}, "DimensionMismatch"),
+        (["boundary", "construct", "--points", "pts.txt", "--tuple", "1,1,1,1,4,4,4,4,2"],
+         {"pts.txt": DEMO_POINTS_TEXT}, "ParseError"),
+        (["field", "normform", "--minpoly", "t^2+1", "--linform", ";"], {}, "ParseError"),
+        (["groups", "classify", "--gens", "(1 2),(3 4", "--degree", "4"], {}, "ParseError"),
+        (["groups", "classify", "--gens", "(1 5)", "--degree", "4"], {}, "ParseError"),
+    ],
+    ids=["gram-n-0", "gram-d-negative", "gram-entry-x", "gram-huge-basis", "gram-huge-header",
+         "functional-3-coefficients", "8-points", "8-weights", "no-negative-weight", "linform-empty",
+         "gens-unbalanced", "gens-point-5"],
+)
+def test_malformed_input_exits_3_with_the_error_name(tmp_path, argv, files, error):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    start = time.perf_counter()
+    res = run([str(tmp_path / w) if w in files else w for w in argv])
+    assert time.perf_counter() - start < 1
+    assert res.exit_code == EXIT_INPUT
+    assert res.report.startswith(f"{error}: ") and "Traceback" not in res.report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gram", "shrink", "--g1", "bin.txt", "--g2", "bin.txt"],
+        ["gram", "verify", "--form", "bin.txt", "--squares", "x1"],
+        ["groups", "table", "--catalog", "bin.txt"],
+        ["boundary", "construct", "--points", "bin.txt", "--tuple", "1,1,1,1,4,4,4,4,-2"],
+    ],
+    ids=["gram-shrink", "gram-verify", "groups-table", "boundary-construct"],
+)
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, argv):
+    (tmp_path / "bin.txt").write_bytes(b"\xff\xfe bad")
+    res = run([str(tmp_path / w) if w == "bin.txt" else w for w in argv])
+    assert res.exit_code == EXIT_INPUT
+    assert res.report.startswith("input error: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_a_fixed_point_report_lists_at_most_20_points():
+    res = run(["groups", "char-number", "--gens", "(1 2 3 4 5 6)", "--inv", "(1 2)", "--degree", "1000"])
+    assert res.exit_code == EXIT_INPUT
+    assert res.report.startswith("HasFixedPoint: (1 2) fixes points [3, 4, ")
+    assert len(res.report.encode()) < 200 and "998" in res.report
+
+
+def test_memory_error_is_an_input_error(monkeypatch):
+    def exhausted(group):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "classify", exhausted)
+    res = run(["groups", "classify", "--gens", "(1 2 3 4)"])
+    assert res.exit_code == EXIT_INPUT
+    assert res.report.startswith("MemoryError: ")
 
 
 def test_reports_deterministic():

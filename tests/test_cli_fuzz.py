@@ -187,7 +187,7 @@ def test_malformed_arguments_exit_with_a_documented_code(invocation):
 # -- tracebacks found by the fuzz test, each kept as a regression case ------
 
 
-GRAM_HEADER = "input error: gram file must start with 'gram n=<vars> d=<half-degree>'"
+GRAM_HEADER = "ParseError: gram file must start with 'gram n=<vars> d=<half-degree>'"
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 from ratsos import gram
 from ratsos.errors import (
     CheckFailed,
+    DifferentForms,
     EqualPoints,
     HeterogeneousDegrees,
     LinearlyDependent,
@@ -272,7 +273,7 @@ def test_shrink_span_spans_differ():
 def test_shrink_span_different_forms_rejected():
     g1 = _family_gram(0)
     g = gram_from_squares(SosRep((two_var("x1^2"),)))
-    with pytest.raises(ValueError):
+    with pytest.raises(DifferentForms):
         shrink_span(g1, g)
 
 

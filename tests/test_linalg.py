@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratsos import linalg
-from ratsos.errors import DimensionMismatch, NotPsd
+from ratsos.errors import DimensionMismatch, NotPsd, ParseError
 from ratsos.linalg import (
     PsdVerdict,
     SymMatrix,
@@ -235,8 +235,10 @@ def test_det_matches_laplace_expansion(rows):
 
 
 def test_sym_matrix_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="not symmetric"):
         SymMatrix.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(DimensionMismatch, match="not square"):
+        SymMatrix.from_rows([[1, 2], [2]])
     m = SymMatrix.from_rows([[1, 2], [2, 4]])
     assert m.entry(0, 1) == 2
     assert m.quad_form([1, 1]) == 9

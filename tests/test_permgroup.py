@@ -6,7 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from ratsos import permgroup
 from ratsos.cli import EXIT_INCONCLUSIVE, EXIT_OK, run
-from ratsos.errors import CheckFailed, HasFixedPoint, NotInvolution, NotTransitive, OrderExceeded, ParseError
+from ratsos.errors import (
+    CheckFailed,
+    DimensionMismatch,
+    HasFixedPoint,
+    NotInvolution,
+    NotTransitive,
+    OrderExceeded,
+    ParseError,
+)
 from ratsos.permgroup import (
     GroupDesc,
     Perm,
@@ -78,6 +86,67 @@ def test_perm_parse_and_format():
         Perm.parse("(1 1 2)")
     with pytest.raises(ParseError):
         Perm.parse("nonsense")
+
+
+def _scanned_generators(text: str, degree: int | None = None) -> tuple[Perm, ...]:
+    """parse_generators with the parenthesis-depth scan it split its list by
+    before the split became one regular expression."""
+    chunks = []
+    depth = 0
+    current = ""
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError(f"unbalanced parentheses in {text!r}")
+        if ch == "," and depth == 0:
+            chunks.append(current)
+            current = ""
+        else:
+            current += ch
+    if depth != 0:
+        raise ParseError(f"unbalanced parentheses in {text!r}")
+    chunks.append(current)
+    chunks = [c.strip() for c in chunks if c.strip()]
+    if not chunks:
+        raise ParseError("no generators given")
+    max_point = degree
+    if max_point is None:
+        pts = [int(p) for p in re.findall(r"\d+", text)]
+        max_point = max(pts) if pts else 1
+    if max_point < 1:
+        raise ParseError(f"generators need a positive degree, got {max_point}")
+    return tuple(Perm.parse(c, max_point) for c in chunks)
+
+
+def _generators_or_error(parse, text, degree):
+    try:
+        return parse(text, degree)
+    except ParseError:
+        return ParseError
+
+
+# points stay below 100: Perm.parse lists as many images as the largest point
+POINTS = st.one_of(st.integers(1, 6), st.integers(0, 99)).map(str)
+CYCLE_TEXTS = st.lists(POINTS, max_size=4).map(lambda pts: "(" + " ".join(pts) + ")")
+PIECES = st.one_of(CYCLE_TEXTS, st.sampled_from(["(", ")", ",", ", ", " ", "1", "(1,2)"]))
+GENERATOR_TEXTS = st.one_of(
+    st.text(alphabet="(),0123456789 ", max_size=24),
+    st.lists(PIECES, max_size=8).map("".join),
+).filter(lambda text: not re.search(r"\d{3}", text))
+
+
+@settings(max_examples=400, deadline=None)
+@given(GENERATOR_TEXTS, st.one_of(st.none(), st.integers(1, 99)))
+@example("(1 2),(3 4", 4)
+@example("(1,2),(3,4)", None)
+@example(")(1 2)(", None)
+def test_parse_generators_splits_like_the_parenthesis_scan(text, degree):
+    assert _generators_or_error(parse_generators, text, degree) == _generators_or_error(
+        _scanned_generators, text, degree
+    )
 
 
 def test_perm_algebra():
@@ -153,6 +222,11 @@ def test_char_number_errors():
         char_number(G("(1 2)(3 4)"), Perm.parse("(1 2)(3 4)"))
     # membership is the caller's to sift
     assert Perm.parse("(1 3)(2 4)").images not in G("(1 2)(3 4)").chain()
+
+
+def test_char_number_rejects_an_involution_of_another_degree():
+    with pytest.raises(DimensionMismatch):
+        char_number(GroupDesc.from_text("(1 2 3 4)"), Perm.parse("(1 2)(3 4)(5 6)"))
 
 
 def test_char_number_base_point_dependence_raises(monkeypatch):

@@ -25,6 +25,20 @@ def test_library_has_no_assert_statements():
 
 
 
+def test_library_raises_named_errors():
+    # a failing check raises the RatsosError subclass that names it, so that
+    # cli.run reports "<ErrorType>: <message>" and a caller can catch that type
+    paths = sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise)
+        and "RatsosError" in {sub.id for sub in ast.walk(node.exc or ast.Pass()) if isinstance(sub, ast.Name)}
+    ]
+    assert found == []
+
+
 # library definitions that no command, script or benchmark reaches, kept
 # because tests build their expected values with them
 TEST_REFERENCE_HELPERS = {
