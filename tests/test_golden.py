@@ -126,6 +126,21 @@ CASES = {
     "groups-char-number-fixed-point": [
         "groups", "char-number", "--gens", "(1 2 3 4 5 6)", "--inv", "(1 2)", "--degree", "6",
     ],
+    # two roots 10^-20 from a double root: isolation doubles its precision to 256 bits
+    "field-obstruct-precision-doubling": [
+        "field", "obstruct",
+        "--minpoly=t^4 + 2*t^2 + 10000000000000000000000000000000000000001/10000000000000000000000000000000000000000",
+    ],
+    # two reducible quartics without a rational root: a product of two
+    # quadratics found with q != 0 and with q = 0 in the depressed quartic
+    "field-obstruct-quadratic-factors": ["field", "obstruct", "--minpoly=t^4+t^3+3*t^2+2*t+2"],
+    "field-obstruct-quadratic-factors-even": ["field", "obstruct", "--minpoly=t^4+5*t^2+4"],
+    # -alpha has a negative definite moment matrix: exit 1
+    "boundary-certify-negated": [
+        "boundary", "certify", "--form", _data("demo_sextic.txt"), "--functional", _data("demo_functional_negated.txt"),
+    ],
+    # variable indices up to 8 on a basis of two monomials
+    "gram-extract-q-x8": ["gram", "extract-q", "--form", "x8^6+x1^6", "--basis", "x8^3;x1^3"],
 }
 
 
