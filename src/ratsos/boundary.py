@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    CheckFailed,
     DimensionMismatch,
     DuplicatePoint,
     HeterogeneousDegrees,
@@ -458,9 +459,7 @@ def uniqueness_cert(boundary: BoundaryCert) -> UniquenessCert:
 class BoundaryChain:
     """Every stage of the nine-point construction, each computed once.
 
-    Stages after the first one that fails stay None: a rejected tuple
-    stops at ``verdict`` (no ``alpha``), a moment matrix that is not PSD
-    leaves ``kernel`` None, and a kernel of dimension other than 3 stops there.
+    A rejected tuple stops at ``verdict`` and leaves the later stages None.
     """
 
     u: tuple[Fraction, ...]
@@ -482,10 +481,11 @@ def boundary_chain(cfg: NinePointConfig, tup: WeightTuple) -> BoundaryChain:
     """Run the construction from nine points and a weight tuple to the
     uniqueness certificate, handing each stage to the next.
 
-    The moment matrix is checked PSD once (in :func:`kernel_cubics`), the
-    Hilbert function of the kernel is computed once and gives positivity,
-    and the boundary certificate reuses that kernel; its extraction is the
-    one the uniqueness certificate reads.
+    The moment matrix, PSD of rank 7 for an accepted tuple (else CheckFailed),
+    is checked once (in :func:`kernel_cubics`), the Hilbert function of the
+    kernel is computed once and gives positivity, and the boundary
+    certificate reuses that kernel; its extraction is the one the
+    uniqueness certificate reads.
     """
     u = tuple(cb_relation(cfg))
     verdict = check_tuple(u, tup)
@@ -494,10 +494,10 @@ def boundary_chain(cfg: NinePointConfig, tup: WeightTuple) -> BoundaryChain:
     alpha = functional_from_tuple(cfg, tup)
     try:
         kernel = tuple(kernel_cubics(moment_matrix(alpha)))
-    except NotPsd:
-        return BoundaryChain(u, verdict, alpha)
+    except NotPsd as exc:
+        raise CheckFailed("the moment matrix of an accepted tuple is not PSD") from exc
     if len(kernel) != 3:
-        return BoundaryChain(u, verdict, alpha, kernel)
+        raise CheckFailed(f"the moment matrix of an accepted tuple has rank {_moment_rank(kernel)}, not 7")
     f = assemble_sextic(kernel)
     hilbert = hilbert_function(kernel)
     positivity = _positivity(hilbert)

@@ -14,9 +14,9 @@ that is not PSD or on two points of different forms is an input error
 named ``RatsosError`` where the input is parsed, and :func:`run` alone
 turns it, or a ``MemoryError``, into exit 3 with ``<ErrorType>: <message>``;
 only a file that cannot be read (or is not UTF-8) or written prints
-``input error: <message>``.
-Reports embed every intermediate exact value so they can be re-verified
-independently.
+``input error: <message>``.  A failed check of a fact the theory guarantees
+prints ``CheckFailed: <the fact>`` and exits 2.  Reports embed every
+intermediate exact value so they can be re-verified independently.
 """
 
 import argparse
@@ -221,14 +221,8 @@ def _render_chain(chain: bd.BoundaryChain) -> tuple[int, str]:
         + ", ".join(str(c) for c in chain.alpha.coeffs)
         + ")"
     )
-    if chain.kernel is None:
-        lines.append("moment matrix: NOT PSD")
-        return EXIT_NEGATIVE, "\n".join(lines)
     lines.append(f"moment matrix: PSD, rank {chain.rank}")
     lines.append(f"kernel cubics ({len(chain.kernel)}): " + "; ".join(str(p) for p in chain.kernel))
-    if chain.f is None:
-        lines.append("kernel dimension != 3: construction inconclusive")
-        return EXIT_INCONCLUSIVE, "\n".join(lines)
     lines.append(f"assembled sextic f = {chain.f}")
     lines.append(f"Hilbert function of A/(U): {chain.hilbert}")
     lines.append(f"strict positivity: {chain.positivity.value}")

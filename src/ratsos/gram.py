@@ -13,7 +13,6 @@ rational, found exactly by p-adic lifting.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
 from typing import Sequence
 
 from .errors import (
@@ -148,6 +147,16 @@ def _echelon_forms(point: GramPoint, reduced) -> list[Poly]:
     ]
 
 
+def _product_rows(polys: Sequence[Poly], extra: Sequence[Poly] = ()) -> tuple[list, list]:
+    """The pairs i <= j and the coefficient rows of the products p_i p_j,
+    then of ``extra``, over the monomials these polynomials use, so that the
+    work follows the forms and not the number of variables."""
+    pairs = list(combinations_with_replacement(range(len(polys)), 2))
+    rows = [polys[i] * polys[j] for i, j in pairs] + list(extra)
+    columns = sorted({e for p in rows for e in p.terms}, reverse=True)
+    return pairs, [p.coeff_vector(columns) for p in rows]
+
+
 def face_dimension(span: Sequence[Poly]) -> tuple[int, bool]:
     """(dim of the supporting face, whether the squares are quadratically
     independent), from a basis p_1..p_r of the span of the squares, such as
@@ -156,10 +165,8 @@ def face_dimension(span: Sequence[Poly]) -> tuple[int, bool]:
     dim F = C(r+1, 2) - rank{p_i p_j : i <= j}; the Gram point is extreme
     iff dim F = 0.
     """
-    r = len(span)
-    prods = [span[i] * span[j] for i, j in combinations_with_replacement(range(r), 2)]
-    columns = sorted({e for p in prods for e in p.terms})
-    dim_f = comb(r + 1, 2) - rank([p.coeff_vector(columns) for p in prods])
+    pairs, rows = _product_rows(span)
+    dim_f = len(pairs) - rank(rows)
     return dim_f, dim_f == 0
 
 
@@ -187,13 +194,13 @@ class QSosWitness:
 def extract_qsos(f: Poly, basis_polys: list[Poly]) -> QSosWitness:
     """Rational SOS extraction on a quadratically independent basis.
 
-    Solves the unique linear system f = sum a_ij p_i p_j, checks the
-    resulting Gram matrix exactly for positive semidefiniteness, and emits
-    literal rational squares through LDL^T and four-square decompositions.
+    Solves the unique linear system f = sum a_ij p_i p_j on the monomials
+    these forms use, checks the resulting Gram matrix exactly for positive
+    semidefiniteness, and emits literal rational squares through LDL^T and
+    four-square decompositions.
     """
     if not basis_polys:
         raise LinearlyDependent("empty basis")
-    nvars = basis_polys[0].nvars
     deg = basis_polys[0].degree()
     if any(sum(e) != deg for p in basis_polys for e in p.terms):
         raise HeterogeneousDegrees("basis polynomials must be forms of one degree")
@@ -201,17 +208,15 @@ def extract_qsos(f: Poly, basis_polys: list[Poly]) -> QSosWitness:
         raise HeterogeneousDegrees(f"f must be a form of degree {2 * deg}, twice the basis degree")
     if not f:
         raise ZeroPolynomial("f is the zero form; it has no squares to extract")
-    basis = monomials(nvars, deg)
-    rows = [p.coeff_vector(basis) for p in basis_polys]
-    if rank(rows) != len(basis_polys):
+    if any(p.nvars != f.nvars for p in basis_polys):
+        raise DimensionMismatch(f"basis polynomials must be forms in the {f.nvars} variables of f")
+    support = sorted({e for p in basis_polys for e in p.terms}, reverse=True)
+    if rank([p.coeff_vector(support) for p in basis_polys]) != len(basis_polys):
         raise LinearlyDependent("basis polynomials are linearly dependent")
     r = len(basis_polys)
-    pairs = list(combinations_with_replacement(range(r), 2))
-    big = monomials(nvars, 2 * deg)
-    cols = [(basis_polys[i] * basis_polys[j]).coeff_vector(big) for i, j in pairs]
-    matrix = [[cols[k][row] for k in range(len(pairs))] for row in range(len(big))]
-    rhs = f.coeff_vector(big)
-    solution, free = lin_solve(matrix, rhs)
+    pairs, rows = _product_rows(basis_polys, [f])
+    *cols, rhs = rows
+    solution, free = lin_solve(list(zip(*cols)), rhs)
     if free > 0:
         raise NotQuadraticallyIndependent(
             "products p_i p_j are linearly dependent; the Gram matrix is not unique"
@@ -235,7 +240,7 @@ def extract_qsos(f: Poly, basis_polys: list[Poly]) -> QSosWitness:
     polys = []
     expanded = []
     for w, vec in verdict.weighted_squares():
-        p = Poly.zero(nvars)
+        p = Poly.zero(f.nvars)
         for coeff, bp in zip(vec, basis_polys):
             if coeff:
                 p = p + coeff * bp
@@ -278,7 +283,8 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
     and, if rational, found exactly among the rational roots of det Q.
     At a rational s* the boundary matrix G(s*) is returned with its rank
     drop verified exactly; at an irrational s* only the isolating interval
-    comes back.
+    comes back.  Q1 is positive definite and G2 - G1 != 0 is in the kernel
+    of mu, hence indefinite: s* exists, G(s*) is PSD, else CheckFailed.
     """
     f = mu(g1)
     if mu(g2) != f:
@@ -307,11 +313,11 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
     det_form = pencil_det([q1, diff])  # det(x1 Q1 + x2 (Q2 - Q1)); x1 = 1, x2 = s
     det_poly = UniPoly([det_form.coefficient((r - e, e)) for e in range(r + 1)])
     if not det_poly or det_poly.degree() == 0:
-        raise SpansDiffer("determinant of the restricted pencil is constant; no boundary on the line")
+        raise CheckFailed("det Q(s) is constant on the line, though G2 - G1 is indefinite")
     chain = sturm_chain(det_poly)
     intervals = isolate_real_roots(chain, lo=Fraction(1))
     if not intervals:
-        raise SpansDiffer("no boundary parameter s > 1 on the line (unexpected for a compact face)")
+        raise CheckFailed("det Q(s) has no root s > 1, though G2 - G1 is indefinite")
     lo, hi = intervals[0]
     rank_before = v1.rank
     exact = next((root for root in rational_roots(det_poly, chain) if lo < root <= hi), None)
@@ -325,7 +331,7 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
     gprime = GramPoint(g1.nvars, g1.half_degree, SymMatrix.from_rows(full))
     verdict = psd_check(gprime.matrix)
     if not verdict.is_psd:
-        raise NotPsd("boundary matrix is not PSD; the line left the cone before s*")
+        raise CheckFailed(f"the boundary matrix at s* = {exact} is not PSD")
     if mu(gprime) != f:
         raise CheckFailed(f"the boundary matrix at s* = {exact} does not represent the form")
     if verdict.rank >= rank_before:

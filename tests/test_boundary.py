@@ -27,6 +27,7 @@ from ratsos.boundary import (
     uniqueness_cert,
 )
 from ratsos.errors import (
+    CheckFailed,
     DimensionMismatch,
     DuplicatePoint,
     LinearlyDependent,
@@ -454,6 +455,19 @@ def test_boundary_chain_stops_at_a_rejected_tuple():
     assert not chain.verdict.ok
     assert chain.alpha is None  # built only for an accepted tuple, so nothing is saved
     assert chain.kernel is None and chain.rank is None and chain.boundary is None
+
+
+def test_boundary_chain_moment_matrix_not_psd_is_a_failed_check(monkeypatch):
+    monkeypatch.setattr(boundary, "kernel_cubics", _raising(NotPsd("indefinite")))
+    with pytest.raises(CheckFailed, match="accepted tuple is not PSD"):
+        boundary_chain(demo_points(), demo_tuple())
+
+
+@pytest.mark.parametrize("kernel, moment_rank", [((P1, P2), 8), ((P1, P2, P3, P1 + P2), 6)])
+def test_boundary_chain_moment_rank_other_than_7_is_a_failed_check(monkeypatch, kernel, moment_rank):
+    monkeypatch.setattr(boundary, "kernel_cubics", lambda b: list(kernel))
+    with pytest.raises(CheckFailed, match=f"accepted tuple has rank {moment_rank}, not 7"):
+        boundary_chain(demo_points(), demo_tuple())
 
 
 def test_kernel_functional_identities_demo():

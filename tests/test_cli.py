@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from ratsos import cli, numfield, permgroup
+from ratsos import boundary, cli, gram, numfield, permgroup
 from ratsos.boundary import demo_kernel_cubics, demo_points, demo_tuple, functional_from_tuple
 from ratsos.cli import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, run
+from ratsos.errors import NotPsd
 from ratsos.linalg import SymMatrix, psd_check, rank
 from ratsos.poly import Poly, monomials
 
@@ -303,6 +304,24 @@ def test_boundary_construct_unwritable_functional_path_is_an_input_error(tmp_pat
     assert res.report.startswith("input error: ") and "Is a directory" in res.report
 
 
+def _not_psd(b):
+    raise NotPsd("indefinite")
+
+
+@pytest.mark.parametrize(
+    "kernel_cubics, fact",
+    [
+        (_not_psd, "the moment matrix of an accepted tuple is not PSD"),
+        (lambda b: list(demo_kernel_cubics()[:2]), "the moment matrix of an accepted tuple has rank 8, not 7"),
+    ],
+    ids=["not-psd", "rank-8"],
+)
+def test_boundary_construct_failed_moment_matrix_is_a_failed_check(monkeypatch, kernel_cubics, fact):
+    monkeypatch.setattr(boundary, "kernel_cubics", kernel_cubics)
+    res = run(["boundary", "construct", "--points", str(GOLDEN / "demo_points.txt"), "--tuple", "1,1,1,1,4,4,4,4,-2"])
+    assert (res.exit_code, res.report) == (EXIT_INCONCLUSIVE, f"CheckFailed: {fact}")
+
+
 def test_boundary_certify_rejects_interior(tmp_path):
     alpha = functional_from_tuple(demo_points(), demo_tuple())
     afile = tmp_path / "alpha.txt"
@@ -348,6 +367,18 @@ def test_gram_extract_q():
     assert "(x1^2)^2 + (x2^2)^2" in res.report
 
 
+def test_gram_extract_q_time_follows_the_forms_not_the_variable_index():
+    start = time.perf_counter()
+    res = run(["gram", "extract-q", "--form", "x30^6+x1^6", "--basis", "x30^3;x1^3"])
+    assert time.perf_counter() - start < 1
+    assert res.exit_code == EXIT_OK
+    assert res.report.splitlines() == [
+        "f = (x30^3)^2 + (x1^3)^2",
+        "weighted form: f = 1*(x30^3)^2 + 1*(x1^3)^2",
+        "reconstruction verified exactly",
+    ]
+
+
 def test_gram_extract_q_not_psd():
     res = run(["gram", "extract-q", "--form", "x1^4+x2^4-3*x1^2*x2^2", "--basis", "x1^2;x2^2"])
     assert res.exit_code == EXIT_NEGATIVE
@@ -385,6 +416,14 @@ def test_gram_shrink(tmp_path):
     assert res.exit_code == EXIT_OK
     assert "s* = 2" in res.report
     assert "rank drops 3 -> 1" in res.report
+
+
+def test_gram_shrink_without_a_boundary_point_is_a_failed_check(monkeypatch):
+    monkeypatch.setattr(gram, "isolate_real_roots", lambda chain, lo: [])
+    res = run(["gram", "shrink", "--g1", str(GOLDEN / "shrink-rational-g1.txt"),
+               "--g2", str(GOLDEN / "shrink-rational-g2.txt")])
+    assert res.exit_code == EXIT_INCONCLUSIVE
+    assert res.report == "CheckFailed: det Q(s) has no root s > 1, though G2 - G1 is indefinite"
 
 
 def _kernel_direction(rng: random.Random, basis) -> list[list[int]]:

@@ -3,8 +3,10 @@
 Each example draws one subcommand with arguments built from a small
 grammar of good and bad pieces: rationals, polynomial terms in ``t`` and
 ``x1..x3``, permutation cycles, Gram and functional files, point and weight
-lists, and ``--linform`` lists.  Degrees stay at most 6 and variables at
-most ``x4``, so no example reaches a slow path; the deadline guards that.
+lists, and ``--linform`` lists.  Degrees stay at most 6, so no example
+reaches a slow path; the deadline guards that.  ``gram extract-q`` works on
+the monomials its products use and draws variables up to ``x40``; the other
+commands stay at most ``x4``, as ``gram verify`` prints a dense Gram point.
 Literal ``--form``, ``--basis`` and ``--catalog`` values are also drawn
 longer than a file name may be (255 bytes).
 """
@@ -45,24 +47,31 @@ T_POLYS = st.one_of(
     ),
 )
 
-X_MONOMIALS = st.lists(st.sampled_from(["x1", "x2", "x3"]), min_size=1, max_size=6).map("*".join)
-X_TERMS = st.one_of(
-    st.builds(lambda c, m: f"{c}*{m}", st.integers(1, 5), X_MONOMIALS),
-    X_MONOMIALS,
-    st.sampled_from(["x0", "x", "x1^", "^2", "1/0", "2*", "*x1", "t", "x1^-1", "(x1)", "x4^2", "x1^7", ""]),
-)
-X_POLYS = st.one_of(
-    _joined(X_TERMS),
-    # forms of one degree, so the Gram pipelines run past their input checks
-    st.integers(1, 3).flatmap(
-        lambda d: st.lists(
-            st.builds(lambda c, m: f"{c}*{m}", st.integers(1, 5),
-                      st.lists(st.sampled_from(["x1", "x2", "x3"]), min_size=d, max_size=d).map("*".join)),
-            min_size=1, max_size=4,
-        ).map("+".join)
-    ),
-)
+def _forms(variables, degree):
+    """Forms of one degree, so the Gram pipelines run past their input checks."""
+    monomials = st.lists(variables, min_size=degree, max_size=degree).map("*".join)
+    return st.lists(st.builds(lambda c, m: f"{c}*{m}", st.integers(1, 5), monomials), min_size=1, max_size=4).map(
+        "+".join
+    )
+
+
+def _x_polys(variables):
+    """Polynomial texts in ``variables``: joined good and bad terms, or forms of one degree."""
+    monomials = st.lists(variables, min_size=1, max_size=6).map("*".join)
+    terms = st.one_of(
+        st.builds(lambda c, m: f"{c}*{m}", st.integers(1, 5), monomials),
+        monomials,
+        st.sampled_from(["x0", "x", "x1^", "^2", "1/0", "2*", "*x1", "t", "x1^-1", "(x1)", "x4^2", "x1^7", ""]),
+    )
+    return st.one_of(_joined(terms), st.integers(1, 3).flatmap(lambda d: _forms(variables, d)))
+
+
+X_VARIABLES = st.sampled_from(["x1", "x2", "x3"])
+X_POLYS = _x_polys(X_VARIABLES)
 X_LISTS = st.lists(X_POLYS, max_size=3).map(";".join)
+WIDE_VARIABLES = st.one_of(X_VARIABLES, st.integers(4, 40).map("x{}".format))
+WIDE_POLYS = _x_polys(WIDE_VARIABLES)
+WIDE_LISTS = st.lists(WIDE_POLYS, max_size=3).map(";".join)
 
 
 def _long(texts):
@@ -163,8 +172,13 @@ INVOCATIONS = st.one_of(
              st.one_of(_file("--form", "form.txt", SEXTIC_TEXTS), _arg("--form", _long(SEXTIC_TEXTS))),
              _file("--functional", "alpha.txt", FUNCTIONAL_FILES), _opt_file("--witness", "witness.txt", GRAM_FILES)),
     _command(["gram", "verify"], _arg("--form", st.one_of(X_POLYS, _long(X_POLYS))), _arg("--squares", X_LISTS)),
-    _command(["gram", "extract-q"], _arg("--form", st.one_of(X_POLYS, _long(X_POLYS))),
-             _arg("--basis", st.one_of(X_LISTS, _long(X_LISTS)))),
+    _command(["gram", "extract-q"], _arg("--form", st.one_of(WIDE_POLYS, _long(WIDE_POLYS))),
+             _arg("--basis", st.one_of(WIDE_LISTS, _long(WIDE_LISTS)))),
+    # a form of twice the degree of its basis, so that most draws reach the product system
+    st.integers(1, 3).flatmap(
+        lambda d: _command(["gram", "extract-q"], _arg("--form", _forms(WIDE_VARIABLES, 2 * d)),
+                           _arg("--basis", st.lists(_forms(WIDE_VARIABLES, d), min_size=1, max_size=3).map(";".join)))
+    ),
     _command(["gram", "shrink"], _file("--g1", "g1.txt", GRAM_FILES), _file("--g2", "g2.txt", GRAM_FILES)),
 )
 

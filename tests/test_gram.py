@@ -9,6 +9,7 @@ from ratsos import gram
 from ratsos.errors import (
     CheckFailed,
     DifferentForms,
+    DimensionMismatch,
     EqualPoints,
     HeterogeneousDegrees,
     LinearlyDependent,
@@ -211,6 +212,23 @@ def test_extract_qsos_failed_four_square_expansion_raises(monkeypatch):
         extract_qsos(two_var("2*x1^4 + 3*x2^4"), [two_var("x1^2"), two_var("x2^2")])
 
 
+def test_extract_qsos_basis_in_other_variables_than_f():
+    with pytest.raises(DimensionMismatch, match="3 variables of f"):
+        extract_qsos(x1**4 + x2**4, [two_var("x1^2"), two_var("x2^2")])
+    with pytest.raises(DimensionMismatch):
+        extract_qsos(x1**4 + x2**4, [x1**2, two_var("x2^2")])
+
+
+def test_quadratic_independence_lists_no_dense_basis(monkeypatch):
+    def dense(nvars, degree):
+        raise AssertionError(f"dense basis of degree {degree} in {nvars} variables")
+
+    monkeypatch.setattr(gram, "monomials", dense)
+    w = extract_qsos(PAPER_SEXTIC, [P1, P2, P3])
+    assert w.weights == (1, 1, 1) and w.reconstruct_squares() == PAPER_SEXTIC
+    assert face_dimension((P1, P2, P3)) == (0, True)
+
+
 def _family_gram(a: Fraction) -> GramPoint:
     # Gram family of (x1^2 + x2^2)^2 on basis (x1^2, x1x2, x2^2)
     a = Fraction(a)
@@ -253,6 +271,33 @@ def test_shrink_span_rank_that_does_not_drop_raises(monkeypatch):
     monkeypatch.setattr(gram, "psd_check", full_rank)
     with pytest.raises(CheckFailed, match="rank does not drop"):
         shrink_span(g1, g2)
+
+
+def _two_root_line() -> tuple[GramPoint, GramPoint]:
+    # G(s) = [[4, 0, s], [0, 4 - 2s, 0], [s, 0, 4]] on (x1^2, x1x2, x2^2), the
+    # points at s = 0 and 1: det G(s) = (4 - 2s)(16 - s^2) vanishes at s* = 2
+    # and again at 4, where G(4) is not PSD
+    return tuple(GramPoint(2, 2, SymMatrix.from_rows([[4, 0, s], [0, 4 - 2 * s, 0], [s, 0, 4]])) for s in (0, 1))
+
+
+def test_shrink_span_constant_determinant_is_a_failed_check(monkeypatch):
+    monkeypatch.setattr(gram, "pencil_det", lambda pencil: Poly.monomial((len(pencil[0]), 0)))
+    with pytest.raises(CheckFailed, match=r"det Q\(s\) is constant"):
+        shrink_span(*_two_root_line())
+
+
+def test_shrink_span_without_a_root_past_one_is_a_failed_check(monkeypatch):
+    monkeypatch.setattr(gram, "isolate_real_roots", lambda chain, lo: [])
+    with pytest.raises(CheckFailed, match="no root s > 1"):
+        shrink_span(*_two_root_line())
+
+
+def test_shrink_span_boundary_that_is_not_psd_is_a_failed_check(monkeypatch):
+    assert shrink_span(*_two_root_line()).s_exact == 2
+    true_isolate = gram.isolate_real_roots
+    monkeypatch.setattr(gram, "isolate_real_roots", lambda chain, lo: true_isolate(chain, lo=lo)[1:])
+    with pytest.raises(CheckFailed, match=r"at s\* = 4 is not PSD"):
+        shrink_span(*_two_root_line())
 
 
 def test_shrink_span_equal_points():
