@@ -13,6 +13,7 @@ exact arithmetic here, through to the singleton Gram spectrahedron.
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .errors import (
@@ -260,6 +261,8 @@ def hilbert_function(u_basis: Sequence[Poly]) -> tuple[int, ...]:
     dim (A/I)_k = dim A_k - rank{x^gamma u : |gamma| = k - 3}, exactly.
     Each u is scaled to integers once; the row of x^gamma u places its
     coefficients at the columns of the cubic monomials shifted by gamma.
+    At k = 6 ``rank`` gets the Koszul relations u_j * u_i - u_i * u_j = 0,
+    which bound the rank of that 30 x 28 piece by 27 for independent u.
     """
     cubics = [[int(c) for c in primitive_vector(u.coeff_vector(CUBICS))] for u in u_basis]
     dims = [len(monomials(3, k)) for k in range(3)]
@@ -274,7 +277,14 @@ def hilbert_function(u_basis: Sequence[Poly]) -> tuple[int, ...]:
                 for j, c in zip(cols, coeffs):
                     row[j] = c
                 rows.append(row)
-        dims.append(len(big) - rank(rows))
+        relations = []
+        if k == 6:  # row r*g + i is x^gamma_g u_i, and gamma_g runs over CUBICS
+            r = len(cubics)
+            for i, j in combinations(range(r), 2):
+                v = [0] * len(rows)
+                v[i::r], v[j::r] = cubics[j], [-c for c in cubics[i]]
+                relations.append(v)
+        dims.append(len(big) - rank(rows, relations))
     return tuple(dims)
 
 

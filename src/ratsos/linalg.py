@@ -2,13 +2,14 @@
 
 One fraction-free elimination on primitive integer rows (``_echelon``)
 gives every reduced row echelon form, kernel, linear solve and determinant
-in the toolkit.  ``rank`` first eliminates once modulo the prime 2^61 - 1:
-full rank there means a minor that is nonzero mod p, hence a nonzero
-integer minor, so min(rows, columns) is the exact rank; any smaller count
-is settled by ``_echelon``.  ``psd_check`` decides positive semidefiniteness
-without tolerances by recursive Schur complements, returning either an
-LDL^T factorization with nonnegative pivots or an explicit rational witness
-vector ``v`` with ``v^T M v < 0``.
+in the toolkit.  ``rank`` certifies "mod-p lower bound = exactly verified
+upper bound": a minor nonzero modulo the prime 2^61 - 1 is a nonzero
+integer minor, and min(columns, rows - k) bounds the rank from above when
+the caller's k row relations are checked exactly (k = 0 without them).
+Bounds that do not meet are settled by ``_echelon``.  ``psd_check``
+decides positive semidefiniteness without tolerances by recursive Schur
+complements, returning either an LDL^T factorization with nonnegative
+pivots or an explicit rational witness vector ``v`` with ``v^T M v < 0``.
 """
 
 from dataclasses import dataclass
@@ -107,17 +108,32 @@ def _rank_mod_prime(m: list[list[int]]) -> int:
     return r
 
 
-def rank(rows: Sequence[Sequence]) -> int:
+def _rank_bound(rows: Sequence[Sequence], relations: Sequence[Sequence[int]]) -> int:
+    """min(columns, rows - k) when the k relations are integer vectors v with
+    v^T M = 0 on the rows as given, and independent (full rank mod p is full
+    rank over Q); min(rows, columns) otherwise.  Either bounds the rank."""
+    ncols = len(rows[0]) if rows else 0
+    verified = relations and all(
+        len(v) == len(rows)
+        and all(isinstance(x, int) for x in v)
+        and not any(sum(x * row[c] for x, row in zip(v, rows) if x) for c in range(ncols))
+        for v in relations
+    ) and _rank_mod_prime([list(v) for v in relations]) == len(relations)
+    return min(ncols, len(rows) - len(relations)) if verified else min(len(rows), ncols)
+
+
+def rank(rows: Sequence[Sequence], relations: Sequence[Sequence[int]] = ()) -> int:
     """Exact rank over Q.
 
-    A rank modulo 2^61 - 1 equal to min(rows, columns) is certified
-    one-sidedly: a minor that is nonzero mod p is nonzero over the
-    integers.  Any smaller count falls back to exact elimination.
+    The rank modulo 2^61 - 1 is a lower bound: a minor nonzero mod p is
+    nonzero over the integers.  When it meets the upper bound of
+    ``_rank_bound`` (lowered by the independent ``relations`` among the
+    rows) it is the rank; any smaller count falls back to exact elimination.
     """
     m, _ = _integer_rows(rows)
-    full = min(len(m), len(m[0]) if m else 0)
-    if _rank_mod_prime(m) == full:
-        return full
+    bound = _rank_bound(rows, relations)
+    if _rank_mod_prime(m) == bound:
+        return bound
     return len(_echelon(m)[1])
 
 
@@ -161,7 +177,7 @@ def lin_solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Vec | None, int]
     dimension of the solution space.
     """
     if len(rows) != len(rhs):
-        raise ValueError("matrix/vector size mismatch")
+        raise DimensionMismatch("matrix/vector size mismatch")
     if not rows:
         return [], 0
     ncols = len(rows[0])

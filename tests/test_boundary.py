@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratsos import boundary, linalg
 from ratsos.boundary import (
@@ -238,8 +239,8 @@ def _reference_hilbert(u_basis):
 def _mapped_demo_kernel(rng, height):
     """Kernel cubics of the demo nine points under a projective map of the given height."""
     while True:
-        mat = [[Fraction(rng.choice((-1, 1)) * rng.randint(height // 2, height), rng.randint(height // 2, height))
-                for _ in range(3)] for _ in range(3)]
+        mat = [[Fraction(rng.choice((-1, 1)) * rng.randint(height // 2, height),
+                         rng.randint(max(1, height // 2), height)) for _ in range(3)] for _ in range(3)]
         if linalg.det(mat):
             break
     pts = NinePointConfig.from_rows(
@@ -264,6 +265,21 @@ def test_hilbert_function_matches_the_exact_reference():
     ):
         h = hilbert_function(u_basis)
         assert h == _reference_hilbert(u_basis)
+        assert h[7] != 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-3, 3), min_size=10, max_size=10), min_size=3, max_size=3),
+    st.booleans(),
+)
+def test_hilbert_function_matches_the_reference_on_random_triples(coeffs, common_zero):
+    if common_zero:  # no x3^3 term: every cubic vanishes at (0:0:1)
+        coeffs = [[0 if e == (0, 0, 3) else c for e, c in zip(boundary.CUBICS, row)] for row in coeffs]
+    u_basis = [Poly.from_coeff_vector(3, boundary.CUBICS, row) for row in coeffs]
+    h = hilbert_function(u_basis)
+    assert h == _reference_hilbert(u_basis)
+    if common_zero:
         assert h[7] != 0
 
 

@@ -215,6 +215,70 @@ def test_rank_certifies_full_rank_mod_p_and_falls_back_otherwise(monkeypatch, ro
     assert len(runs) == exact_runs
 
 
+# -- rank with relations: the mod-p count meets an exactly verified upper bound
+
+
+@st.composite
+def _planted_relations(draw):
+    """(rows, relations): random integer rows, then rows that are integer
+    combinations of the rows before them, each with the relation that plants it."""
+    ncols, nbase, nplanted = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    ints = st.integers(-5, 5)
+    rows = draw(st.lists(st.lists(ints, min_size=ncols, max_size=ncols), min_size=nbase, max_size=nbase))
+    relations = []
+    for _ in range(nplanted):
+        coeffs = draw(st.lists(ints, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(a * row[c] for a, row in zip(coeffs, rows)) for c in range(ncols)])
+        relations.append(coeffs + [-1])
+    relations = [v + [0] * (len(rows) - len(v)) for v in relations]
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], [[v[i] for i in order] for v in relations]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_planted_relations(), st.data())
+def test_rank_with_relations_is_the_exact_rank(planted, data):
+    rows, relations = planted
+    exact = _exact_rank(rows)
+    assert rank(rows, relations) == exact
+    v = relations[0]
+    k = data.draw(st.integers(0, len(rows) - 1))
+    unchecked = [
+        relations[:1] + [v[:k] + [v[k] + 1] + v[k + 1 :]],  # annihilates only if row k is zero
+        relations + [[2 * x for x in v]],  # dependent
+        relations + [[0] * len(rows)],
+        [v + [0]],
+        [v[:-1]],
+    ]
+    for bad in unchecked:
+        assert rank(rows, bad) == exact
+
+
+# rank 2, but rank 1 mod P: a bound of 3 - 2 = 1 from two relations would be met mod P
+_RANK_2_MOD_P_1 = [[P, 1], [0, 1], [P, 2]]
+
+
+@pytest.mark.parametrize(
+    "rows, relations",
+    [
+        (_RANK_2_MOD_P_1, [[1, 1, -1], [1, 1, -1]]),  # dependent
+        (_RANK_2_MOD_P_1, [[1, 1, -1], [2, 2, -2]]),
+        (_RANK_2_MOD_P_1, [[1, 1, -1], [0, 0, 0]]),
+        (_RANK_2_MOD_P_1, [[1, 0, 0], [0, 1, 0]]),  # independent, annihilate nothing
+        (_RANK_2_MOD_P_1, [[1, 1, -1, 0], [0, 0, 0, 1]]),  # one entry too many, so the second is zero on the rows
+        (_RANK_2_MOD_P_1, [[Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)]]),  # not an integer vector
+        ([[P, 1], [0, 1], [0, 2]], [[1, -1, 0], [0, 2, -1]]),  # r0 - r1 vanishes mod P only
+    ],
+)
+def test_rank_trusts_no_relation_that_fails_its_check(rows, relations):
+    assert rank(rows, relations) == 2
+
+
+def test_lin_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        lin_solve([[1, 2], [3, 4]], [1])
+
+
 @settings(max_examples=100, deadline=None)
 @given(_matrices(), st.data())
 def test_lin_solve_matches_gauss_jordan(rows, data):

@@ -14,6 +14,7 @@ from ratsos.errors import (
     GaloisDataMissing,
     NotMonic,
     NotSquarefree,
+    PrecisionExhausted,
     Reducible,
     ZeroPolynomial,
 )
@@ -338,15 +339,100 @@ def test_quartic_labels_are_invariant_under_rational_substitution(label, q, k):
 def test_isolated_boxes_are_sorted_disjoint_and_paired_by_conjugation(coeffs):
     m = UniPoly(coeffs)
     assume(m.degree() >= 2 and squarefree(m))
-    rs = isolate_roots(m)
+    _assert_isolated(isolate_roots(m))
+
+
+_polyroots = mpmath.polyroots
+
+
+def _assert_isolated(rs):
+    """The checks isolate_roots makes."""
     corners = [(box.re.lo, box.im.lo) for box in rs.boxes]
     assert corners == sorted(corners)
     assert not any(rs.boxes[i].overlaps(rs.boxes[j]) for i in range(rs.degree) for j in range(i + 1, rs.degree))
     pairing = rs.pairing.images
     assert compose(pairing, pairing) == tuple(range(rs.degree))  # an involution, or the identity
     assert len(rs.pairing.fixed_points()) == count_real_roots(rs.chain)
-    for box, partner in zip(rs.boxes, pairing):
+    for i, (box, partner) in enumerate(zip(rs.boxes, pairing)):
         assert box.conjugate().overlaps(rs.boxes[partner])
+        assert partner == i or box.strictly_above_axis() or box.strictly_below_axis()
+
+
+def _assert_isolates_every_root(rs):
+    _assert_isolated(rs)
+    exact = numfield._mpf_to_fraction
+    with mpmath.workprec(256):
+        roots = _polyroots([int(c) for c in reversed(rs.minpoly.coeffs)], maxsteps=400, extraprec=256)
+        for z in roots:
+            inside = [box for box in rs.boxes if box.re.contains(exact(z.real)) and box.im.contains(exact(z.imag))]
+            assert len(inside) == 1
+
+
+def _patch_polyroots(monkeypatch, approximations):
+    """numfield's polyroots returns ``approximations(call number, true roots)``; the precision of each call is kept."""
+    calls = []
+
+    def fake(coeffs, **kwargs):
+        calls.append(mpmath.mp.prec)
+        return approximations(len(calls), _polyroots(coeffs, **kwargs))
+
+    monkeypatch.setattr(numfield.mpmath, "polyroots", fake)
+    return calls
+
+
+def _first_call(bad):
+    """Approximations that are ``bad(true roots)`` (or raise) on the first call only."""
+    return lambda call, roots: bad(roots) if call == 1 else roots
+
+
+def _no_convergence(roots):
+    raise mpmath.libmp.NoConvergence
+
+
+# each first-call failure is one exit of numfield._try_isolate; its last exit, a pairing that
+# is not an involution, is unreachable: mirror overlap is symmetric, a real box is its own mirror
+@pytest.mark.parametrize(
+    "poly, bad",
+    [
+        ("t^4+t+1", _no_convergence),
+        ("t^2+1", lambda roots: [mpmath.mpc(0, 1), mpmath.mpc(0, -0.5)]),  # the second box reaches the axis
+        ("t^2+1", lambda roots: [mpmath.mpc(-0.05, -1.35), mpmath.mpc(0, 0.59)]),  # the boxes overlap
+        # the mirror of the first box (sorted by corner) meets two boxes
+        ("t^4+5*t^2+4", lambda roots: [mpmath.mpc(*z) for z in ((-0.07, 0.97), (0.03, -1), (0.07, -1.95), (-0.03, 2))]),
+    ],
+    ids=["no-convergence", "box-on-axis", "overlap", "two-mirror-partners"],
+)
+def test_isolation_doubles_its_precision_past_a_bad_approximation(monkeypatch, poly, bad):
+    calls = _patch_polyroots(monkeypatch, _first_call(bad))
+    rs = isolate_roots(U(poly))
+    assert calls == [128, 256] and rs.precision_bits == 256
+    _assert_isolates_every_root(rs)
+
+
+def test_isolation_that_never_certifies_exhausts_its_precision(monkeypatch):
+    calls = _patch_polyroots(monkeypatch, lambda call, roots: [mpmath.mpc(0, 1), mpmath.mpc(0, -0.5)])
+    with pytest.raises(PrecisionExhausted):
+        isolate_roots(U("t^2+1"))
+    assert calls == [128, 256, 512, 1024]
+
+
+def _nudged(roots):
+    return [z + mpmath.mpf(0.01) * (1 + 1j) ** k for k, z in enumerate(roots)]
+
+
+def test_resolvent_pairing_refines_boxes_too_wide_to_separate_it(monkeypatch):
+    m = U("t^4+5*t^2+5")
+    expected = quartic_galois(m)
+    calls = _patch_polyroots(monkeypatch, _first_call(_nudged))
+    qg = quartic_galois(m)
+    assert calls == [128, 256]  # the nudged boxes isolate, and the pairing asks for refined() ones
+    assert qg.roots.precision_bits == 128
+    _assert_isolates_every_root(qg.roots)
+    assert qg.group.label == expected.group.label == "C4"
+    assert qg.group.generators == expected.group.generators
+    _patch_polyroots(monkeypatch, lambda call, roots: _nudged(roots))
+    with pytest.raises(PrecisionExhausted, match="could not separate the resolvent pairings"):
+        quartic_galois(m)
 
 
 @pytest.mark.parametrize("m, gens", [("t^6+t+1", "(1 2 3 4 5 6 7 8)"), ("t^4+t+1", "(1 2 3 4 5 6)")])

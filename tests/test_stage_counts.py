@@ -5,6 +5,7 @@ holds it, so calls through ``bd.name`` and through names imported from
 another module are both counted.
 """
 
+import random
 import sys
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from ratsos import boundary, gram, linalg, numfield, permgroup, resultants, sturm
 from ratsos.cli import EXIT_INCONCLUSIVE, EXIT_NEGATIVE, EXIT_OK, _parse_gram_file, run
 from ratsos.poly import UniPoly
+from test_boundary import _mapped_demo_kernel
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -196,12 +198,12 @@ def test_determinants_avoid_the_laplace_expansion(monkeypatch, argv, exit_code):
 @pytest.mark.parametrize(
     "argv, reductions, eliminations",
     [
-        # two reductions in each of the two nullspaces, one in the kernel Gram solve;
-        # of the rank checks only the degree-6 Hilbert piece (30 x 28, rank 27) is not
-        # full rank mod 2^61 - 1, so it alone needs an exact elimination
-        (["boundary", "demo"], 5, 6),
+        # two reductions in each of the two nullspaces, one in the kernel Gram solve, each one
+        # exact elimination; every rank check meets its bound mod 2^61 - 1 (the degree-6
+        # Hilbert piece, 30 x 28 of rank 27, through its three Koszul relations) and adds none
+        (["boundary", "demo"], 5, 5),
         (["boundary", "construct", "--points", str(GOLDEN / "demo_points.txt"), "--tuple", "1,1,1,1,4,4,4,4,-2"],
-         5, 6),
+         5, 5),
         # the Gram solve; the basis rank check does no back-substitution
         (["gram", "extract-q", "--form", "x1^4+x2^4", "--basis", "x1^2;x2^2"], 1, 1),
     ],
@@ -213,6 +215,14 @@ def test_rank_only_callers_do_no_back_substitution(monkeypatch, argv, reductions
     assert run(argv).exit_code == EXIT_OK
     assert len(calls) == reductions
     assert len(exact) == eliminations
+
+
+@pytest.mark.parametrize("height", [1, 100, 10**4])
+def test_hilbert_function_needs_no_exact_elimination(monkeypatch, height):
+    kernel = _mapped_demo_kernel(random.Random(height), height)
+    exact = count_calls(monkeypatch, linalg, "_echelon")
+    assert boundary.hilbert_function(kernel) == (1, 3, 6, 7, 6, 3, 1, 0)
+    assert not exact
 
 
 def _golden_shrink():
