@@ -17,6 +17,10 @@ class DimensionMismatch(RatsosError):
     pass
 
 
+class OutOfRange(RatsosError):
+    """An argument outside the range where the operation is defined: a negative power, an empty interval."""
+
+
 class NotPsd(RatsosError):
     """A matrix required to be positive semidefinite is not."""
 

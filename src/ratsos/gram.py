@@ -279,8 +279,8 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
     """Produce a Gram point of the same form with strictly smaller span.
 
     Walks G(s) = G1 + s (G2 - G1) in the coordinates of the common span;
-    s* is the smallest root > 1 of det Q(s), located by Sturm isolation
-    and, if rational, found exactly among the rational roots of det Q.
+    s* is the smallest root > 1 of det Q(s), isolated alone by Sturm
+    bisection and, if rational, found exactly among the rational roots of det Q.
     At a rational s* the boundary matrix G(s*) is returned with its rank
     drop verified exactly; at an irrational s* only the isolating interval
     comes back.  Q1 is positive definite and G2 - G1 != 0 is in the kernel
@@ -315,10 +315,9 @@ def shrink_span(g1: GramPoint, g2: GramPoint) -> ShrinkResult:
     if not det_poly or det_poly.degree() == 0:
         raise CheckFailed("det Q(s) is constant on the line, though G2 - G1 is indefinite")
     chain = sturm_chain(det_poly)
-    intervals = isolate_real_roots(chain, lo=Fraction(1))
-    if not intervals:
+    if (interval := isolate_real_roots(chain, Fraction(1))) is None:
         raise CheckFailed("det Q(s) has no root s > 1, though G2 - G1 is indefinite")
-    lo, hi = intervals[0]
+    lo, hi = interval
     rank_before = v1.rank
     exact = next((root for root in rational_roots(det_poly, chain) if lo < root <= hi), None)
     if exact is None:  # s* is irrational: refinement cannot land on it

@@ -8,6 +8,8 @@ in the complex plane.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import OutOfRange
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -16,7 +18,7 @@ class Interval:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+            raise OutOfRange(f"empty interval [{self.lo}, {self.hi}]")
 
     @classmethod
     def point(cls, x) -> "Interval":

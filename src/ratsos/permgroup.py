@@ -66,7 +66,7 @@ class Perm:
     def __init__(self, images: Sequence[int]):
         img = tuple(images)
         if sorted(img) != list(range(len(img))):
-            raise ValueError(f"not a permutation of 0..{len(img) - 1}: {img}")
+            raise ParseError(f"not a permutation of 0..{len(img) - 1}: {img}")
         object.__setattr__(self, "images", img)
 
     def __setattr__(self, name, value):

@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParseError, ZeroPolynomial
+from .errors import DimensionMismatch, OutOfRange, ParseError, ZeroPolynomial
 
 Exp = tuple[int, ...]
 
@@ -68,7 +68,7 @@ def _parse_terms(text: str, factor_re: re.Pattern) -> list[tuple[Fraction, list[
 def monomials(nvars: int, degree: int) -> tuple[Exp, ...]:
     """All exponent vectors of the given total degree, graded-lex descending."""
     if nvars < 1 or degree < 0:
-        raise ValueError("need nvars >= 1 and degree >= 0")
+        raise DimensionMismatch("need nvars >= 1 and degree >= 0")
     exps = []
     for combo in combinations_with_replacement(range(nvars), degree):
         e = [0] * nvars
@@ -113,7 +113,7 @@ class Poly:
 
     def __init__(self, nvars: int, terms: Mapping[Exp, Fraction] | None = None):
         if nvars < 1:
-            raise ValueError("variable count must be positive")
+            raise DimensionMismatch("variable count must be positive")
         clean: dict[Exp, Fraction] = {}
         if terms:
             for exp, c in terms.items():
@@ -122,7 +122,7 @@ class Poly:
                     continue
                 exp = tuple(exp)
                 if len(exp) != nvars or any(e < 0 for e in exp):
-                    raise ValueError(f"bad exponent vector {exp} for {nvars} variables")
+                    raise DimensionMismatch(f"bad exponent vector {exp} for {nvars} variables")
                 clean[exp] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
@@ -144,7 +144,7 @@ class Poly:
     def variable(cls, index: int, nvars: int) -> "Poly":
         """The variable ``x<index>`` (1-based) in ``nvars`` variables."""
         if not 1 <= index <= nvars:
-            raise ValueError("variable index out of range")
+            raise DimensionMismatch("variable index out of range")
         exp = tuple(1 if i == index - 1 else 0 for i in range(nvars))
         return cls(nvars, {exp: Fraction(1)})
 
@@ -198,20 +198,20 @@ class Poly:
         bset = set(basis)
         for e in self.terms:
             if e not in bset:
-                raise ValueError(f"term {e} outside the given basis")
+                raise DimensionMismatch(f"term {e} outside the given basis")
         return [self.terms.get(e, Fraction(0)) for e in basis]
 
     @classmethod
     def from_coeff_vector(cls, nvars: int, basis: Sequence[Exp], vec: Sequence) -> "Poly":
         if len(basis) != len(vec):
-            raise ValueError("basis/vector length mismatch")
+            raise DimensionMismatch("basis/vector length mismatch")
         return cls(nvars, {tuple(e): Fraction(c) for e, c in zip(basis, vec)})
 
     # -- arithmetic --------------------------------------------------------
 
     def _check_compat(self, other: "Poly"):
         if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
+            raise DimensionMismatch("variable counts differ")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -257,7 +257,7 @@ class Poly:
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative power")
+            raise OutOfRange("negative power")
         result = Poly.constant(self.nvars, 1)
         base = self
         while k:
@@ -269,7 +269,7 @@ class Poly:
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
-            raise ValueError("point has wrong dimension")
+            raise DimensionMismatch("point has wrong dimension")
         pt = [Fraction(p) for p in point]
         total = Fraction(0)
         for e, c in self.terms.items():

@@ -101,9 +101,9 @@ def det_ring(rows: list[list], zero):
     n = len(rows)
     for row in rows:
         if len(row) != n:
-            raise ValueError("matrix is not square")
+            raise DimensionMismatch("matrix is not square")
     if n == 0:
-        raise ValueError("empty matrix")
+        raise DimensionMismatch("empty matrix")
     memo: dict[frozenset, object] = {}
 
     def minor(remaining: tuple[int, ...]):
@@ -173,7 +173,7 @@ def resultant(a: Sequence[Poly], b: Sequence[Poly]) -> Poly:
         raise ZeroPolynomial("resultant of the zero polynomial")
     nvars = next((c.nvars for c in a + b if isinstance(c, Poly)), None)
     if nvars is None:
-        raise ValueError("need at least one Poly coefficient")
+        raise DimensionMismatch("need at least one Poly coefficient")
     a = [c if isinstance(c, Poly) else Poly.constant(nvars, c) for c in a]
     b = [c if isinstance(c, Poly) else Poly.constant(nvars, c) for c in b]
     zero = Poly.zero(nvars)

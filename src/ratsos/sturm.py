@@ -1,7 +1,7 @@
 """Exact real roots of UniPoly: Sturm chains and p-adic rational roots.
 
 One Sturm chain per polynomial feeds every real-root query: it decides
-"totally imaginary" (no real root) and isolates shrink boundary parameters.
+"totally imaginary" (no real root) and isolates the shrink boundary parameter.
 Rational roots (quartic Galois groups, rational boundary parameters) are
 found by Hensel lifting of the roots modulo one prime, in time polynomial
 in the degree and the coefficient bit size.
@@ -10,7 +10,7 @@ in the degree and the coefficient bit size.
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ZeroPolynomial
+from .errors import CheckFailed, OutOfRange, ZeroPolynomial
 from .poly import UniPoly, primitive_vector
 
 
@@ -54,13 +54,16 @@ def count_real_roots(chain: list[UniPoly]) -> int:
     return at_minus - at_plus
 
 
+def _variations_at(chain: list[UniPoly], x: Fraction) -> int:
+    """Sign variations of the Sturm ``chain`` at ``x``: one evaluation of the chain."""
+    return _variations([_sign_at(q, x) for q in chain])
+
+
 def count_roots_in(chain: list[UniPoly], a: Fraction, b: Fraction) -> int:
     """Distinct roots in the half-open interval (a, b]; requires a < b."""
     if not a < b:
-        raise ValueError("need a < b")
-    va = _variations([_sign_at(q, a) for q in chain])
-    vb = _variations([_sign_at(q, b) for q in chain])
-    return va - vb
+        raise OutOfRange("need a < b")
+    return _variations_at(chain, a) - _variations_at(chain, b)
 
 
 def root_bound(p: UniPoly) -> Fraction:
@@ -69,42 +72,32 @@ def root_bound(p: UniPoly) -> Fraction:
     return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
 
 
-def isolate_real_roots(
-    chain: list[UniPoly], lo: Fraction | None = None, hi: Fraction | None = None
-) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint half-open intervals (a, b], each containing exactly one real root.
+def isolate_real_roots(chain: list[UniPoly], lo: Fraction) -> tuple[Fraction, Fraction] | None:
+    """Half-open interval (a, b] isolating the smallest real root above ``lo``, or None.
 
-    ``chain`` is the Sturm chain of the polynomial.  Restricted to
-    ``(lo, hi]`` when bounds are given; intervals come back sorted.  Split
-    points are chosen off the root set, so the half-open counting stays
-    consistent.
+    ``chain`` is the Sturm chain of the polynomial.  Bisects (lo, M + 1],
+    M the Cauchy bound, keeping the left half whenever it holds a root and
+    carrying the variations at both ends, so each step evaluates the chain
+    once, at a split point off the root set.  The plural name stays because
+    the benchmark traces root isolation under it (perfbench/spans.py).
     """
     q = chain[0]
     if q.degree() == 0:
-        return []
-    bound = root_bound(q)
-    a = lo if lo is not None else -bound - 1
-    b = hi if hi is not None else bound + 1
-    if not a < b:
-        return []
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        k = count_roots_in(chain, x, y)
-        if k == 0:
-            continue
-        if k == 1:
-            out.append((x, y))
-            continue
-        mid = (x + y) / 2
-        shift = (y - x) / 4
+        return None
+    a, b = lo, root_bound(q) + 1
+    va, vb = _variations_at(chain, a), _variations_at(chain, b)
+    while va - vb > 1:
+        mid = (a + b) / 2
+        shift = (b - a) / 4
         while q(mid) == 0:
             mid += shift
             shift /= 2
-        stack.append((x, mid))
-        stack.append((mid, y))
-    return sorted(out)
+        vm = _variations_at(chain, mid)
+        if va > vm:
+            b, vb = mid, vm
+        else:
+            a, va = mid, vm
+    return (a, b) if va > vb else None
 
 
 def refine_interval(
@@ -124,7 +117,7 @@ def refine_interval(
     if a == b:
         return interval
     if count_roots_in(chain, a, b) != 1:
-        raise ValueError("not an isolating interval")
+        raise CheckFailed("not an isolating interval")
     q = chain[0]
     right = _sign_at(q, b)
     while b - a > width:

@@ -419,7 +419,7 @@ def test_gram_shrink(tmp_path):
 
 
 def test_gram_shrink_without_a_boundary_point_is_a_failed_check(monkeypatch):
-    monkeypatch.setattr(gram, "isolate_real_roots", lambda chain, lo: [])
+    monkeypatch.setattr(gram, "isolate_real_roots", lambda chain, lo: None)
     res = run(["gram", "shrink", "--g1", str(GOLDEN / "shrink-rational-g1.txt"),
                "--g2", str(GOLDEN / "shrink-rational-g2.txt")])
     assert res.exit_code == EXIT_INCONCLUSIVE

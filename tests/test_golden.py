@@ -5,6 +5,8 @@ line and the report after it, recorded from the CLI on the inputs below.
 A refactor that changes a single byte of a report fails here.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,3 +154,20 @@ def render(argv) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_is_byte_identical(name):
     assert render(CASES[name]) == (DATA / f"{name}.out").read_text()
+
+
+# both shrink lines, and one report per command family
+OPTIMIZED_CASES = [
+    "gram-shrink-generic", "gram-shrink-rational",
+    "boundary-certify", "field-obstruct-quartic", "groups-char-number-s6",
+]
+
+
+@pytest.mark.parametrize("name", OPTIMIZED_CASES)
+def test_report_is_byte_identical_under_python_O(name):
+    # python -O strips assert statements and __debug__ blocks; no check may go with them
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "ratsos", *CASES[name]], capture_output=True, text=True, timeout=120
+    )
+    assert proc.stderr == ""
+    assert f"exit {proc.returncode}\n{proc.stdout}" == (DATA / f"{name}.out").read_text()

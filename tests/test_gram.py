@@ -287,7 +287,7 @@ def test_shrink_span_constant_determinant_is_a_failed_check(monkeypatch):
 
 
 def test_shrink_span_without_a_root_past_one_is_a_failed_check(monkeypatch):
-    monkeypatch.setattr(gram, "isolate_real_roots", lambda chain, lo: [])
+    monkeypatch.setattr(gram, "isolate_real_roots", lambda chain, lo: None)
     with pytest.raises(CheckFailed, match="no root s > 1"):
         shrink_span(*_two_root_line())
 
@@ -295,7 +295,7 @@ def test_shrink_span_without_a_root_past_one_is_a_failed_check(monkeypatch):
 def test_shrink_span_boundary_that_is_not_psd_is_a_failed_check(monkeypatch):
     assert shrink_span(*_two_root_line()).s_exact == 2
     true_isolate = gram.isolate_real_roots
-    monkeypatch.setattr(gram, "isolate_real_roots", lambda chain, lo: true_isolate(chain, lo=lo)[1:])
+    monkeypatch.setattr(gram, "isolate_real_roots", lambda chain, lo: true_isolate(chain, true_isolate(chain, lo)[1]))
     with pytest.raises(CheckFailed, match=r"at s\* = 4 is not PSD"):
         shrink_span(*_two_root_line())
 

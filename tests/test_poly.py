@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ratsos.errors import ParseError
+from ratsos.errors import DimensionMismatch, OutOfRange, ParseError
 from ratsos.poly import Poly, UniPoly, monomials, parse_rational, primitive_vector
 from ratsos.sturm import sturm_chain
 
@@ -73,9 +73,13 @@ def test_degree_and_homogeneity():
 def test_evaluate():
     p = x1**2 + 2 * x2 - x3
     assert p.evaluate([1, Fraction(1, 2), 3]) == 1 + 1 - 3
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         # mixed-degree terms do not fit a homogeneous basis
         p.coeff_vector(monomials(3, 2))
+    with pytest.raises(DimensionMismatch, match="wrong dimension"):
+        p.evaluate([1, 2])
+    with pytest.raises(OutOfRange, match="negative power"):
+        p ** -1
 
 
 def test_coeff_vector_round_trip():

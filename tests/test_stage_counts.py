@@ -323,7 +323,19 @@ def test_gram_shrink_refines_with_one_sturm_count(monkeypatch):
     monkeypatch.setattr(gram, "refine_interval", counting_refine)
     assert run(_shrink_argv("generic")).exit_code == EXIT_INCONCLUSIVE
     assert per_refinement == [1]
-    assert len(counts) <= 60
+    assert len(counts) == 1  # the isolation bisects without counting
+
+
+@pytest.mark.parametrize(
+    "kind, exit_code, evaluations", [("generic", EXIT_INCONCLUSIVE, 29), ("rational", EXIT_OK, 44)]
+)
+def test_gram_shrink_evaluates_the_sturm_chain_once_per_halving(monkeypatch, kind, exit_code, evaluations):
+    # isolating s* alone: both ends of (1, M + 1], then one evaluation per halving (and, at the
+    # irrational s*, two for the refinement's isolating check); isolating all five roots above 1,
+    # with both ends of each half counted, takes 108 and 170
+    evals = count_calls(monkeypatch, sturm, "_variations_at")
+    assert run(_shrink_argv(kind)).exit_code == exit_code
+    assert len(evals) == evaluations
 
 
 @pytest.mark.parametrize(

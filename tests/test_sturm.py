@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratsos.errors import ZeroPolynomial
+from ratsos.errors import CheckFailed, OutOfRange, ZeroPolynomial
 from ratsos.poly import UniPoly, primitive_vector
 from ratsos.sturm import (
     _simple_roots_mod_prime,
@@ -36,30 +36,56 @@ def test_known_counts():
         sturm_chain(UniPoly())
 
 
+def _isolate_left_to_right(chain: list[UniPoly]) -> list[tuple[Fraction, Fraction]]:
+    """Every real root, left to right: each search starts at the previous interval's right end."""
+    out = []
+    lo = -root_bound(chain[0]) - 1
+    while (interval := isolate_real_roots(chain, lo)) is not None:
+        out.append(interval)
+        lo = interval[1]
+    return out
+
+
 def test_isolation_basic():
     p = U("t^3 - t")  # roots -1, 0, 1
-    ivs = isolate_real_roots(sturm_chain(p))
+    chain = sturm_chain(p)
+    ivs = _isolate_left_to_right(chain)
     assert len(ivs) == 3
     for (a, b), root in zip(ivs, (-1, 0, 1)):
         assert a < root <= b
-    # restricted window
-    assert len(isolate_real_roots(sturm_chain(p), lo=Fraction(1, 2), hi=Fraction(10))) == 1
+    # the smallest root above a bound, and none above the largest root
+    a, b = isolate_real_roots(chain, Fraction(1, 2))
+    assert Fraction(1, 2) <= a < 1 <= b
+    assert isolate_real_roots(chain, Fraction(1)) is None
+    assert isolate_real_roots(sturm_chain(U("5")), Fraction(0)) is None
 
 
 def test_refine_interval():
     chain = sturm_chain(U("t^2 - 2"))
-    (iv,) = isolate_real_roots(chain, lo=Fraction(0), hi=Fraction(2))
-    a, b = refine_interval(chain, iv, Fraction(1, 10**6))
-    if a != b:
-        assert b - a <= Fraction(1, 10**6)
-    assert float(a) == pytest.approx(2**0.5, abs=1e-5)
+    ivs = _isolate_left_to_right(chain)
+    assert len(ivs) == 2
+    for iv, root in zip(ivs, (-(2**0.5), 2**0.5)):
+        a, b = refine_interval(chain, iv, Fraction(1, 10**6))
+        if a != b:
+            assert b - a <= Fraction(1, 10**6)
+        assert float(a) == pytest.approx(root, abs=1e-5)
 
 
 def test_refine_hits_exact_rational_root():
     chain = sturm_chain(U("t^2 - 4"))
-    (iv,) = isolate_real_roots(chain, lo=Fraction(0), hi=Fraction(5))
-    a, b = refine_interval(chain, iv, Fraction(1, 2**40))
-    assert (a, b) == (2, 2) or (a < 2 <= b)
+    ivs = _isolate_left_to_right(chain)
+    assert len(ivs) == 2
+    for iv, root in zip(ivs, (-2, 2)):
+        a, b = refine_interval(chain, iv, Fraction(1, 2**40))
+        assert (a, b) == (root, root) or (a < root <= b)
+
+
+def test_bad_intervals_raise_named_errors():
+    chain = sturm_chain(U("t^2 - 2"))
+    with pytest.raises(OutOfRange, match="need a < b"):
+        count_roots_in(chain, Fraction(1), Fraction(1))
+    with pytest.raises(CheckFailed, match="not an isolating interval"):
+        refine_interval(chain, (Fraction(-2), Fraction(2)), Fraction(1, 10))
 
 
 def test_rational_roots():
@@ -163,7 +189,7 @@ def test_refine_interval_matches_counting_oracle(planted, square, repeat, bits):
     for r in planted + planted[:1] * repeat:
         p = p * UniPoly([-r, 1])
     chain = sturm_chain(p)
-    candidates = list(isolate_real_roots(chain))
+    candidates = _isolate_left_to_right(chain)
     for r in planted:
         # right end a rational root; left end a root of another factor or a nearby point
         candidates += [(s, r) for s in planted if s < r]
@@ -173,6 +199,29 @@ def test_refine_interval_matches_counting_oracle(planted, square, repeat, bits):
     assert isolating
     for iv in isolating:
         assert refine_interval(chain, iv, width) == _refine_by_counting(p, iv, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(small_roots, min_size=1, max_size=4, unique=True),
+    st.integers(2, 12),
+    st.booleans(),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+def test_isolation_finds_the_smallest_root_above_lo(planted, square, repeat, lo):
+    # rational roots, +-sqrt(square) (irrational unless a square), maybe a repeated factor
+    p = UniPoly([-square, 0, 1])
+    for r in planted + planted[:1] * repeat:
+        p = p * UniPoly([-r, 1])
+    chain = sturm_chain(p)
+    top = root_bound(chain[0]) + 1
+    interval = isolate_real_roots(chain, lo)
+    assert (interval is None) == (lo >= top or count_roots_in(chain, lo, top) == 0)
+    if interval is not None:
+        a, b = interval
+        assert lo <= a < b <= top
+        assert count_roots_in(chain, a, b) == 1
+        assert a == lo or count_roots_in(chain, lo, a) == 0
 
 
 def _oracle_real_root_count(p: UniPoly) -> int:
@@ -223,7 +272,7 @@ def test_isolation_intervals_are_isolating():
         coeffs = [rng.randint(-6, 6) for _ in range(deg)] + [rng.randint(1, 6)]
         p = UniPoly(coeffs)
         chain = sturm_chain(p)
-        ivs = isolate_real_roots(chain)
+        ivs = _isolate_left_to_right(chain)
         assert len(ivs) == count_real_roots(chain)
         for a, b in ivs:
             assert count_roots_in(chain, a, b) == 1
